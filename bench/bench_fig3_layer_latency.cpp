@@ -9,9 +9,12 @@
 // chrome://tracing dump of the invoke (TRACE_fig3_kws.json, loadable in
 // Perfetto).
 #include <array>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "charac/charac.hpp"
+#include "kernels/backend.hpp"
+#include "runtime/planner.hpp"
 #include "tensor/stats.hpp"
 
 using namespace mn;
@@ -82,8 +85,14 @@ int main(int argc, char** argv) {
   bo.seed = opt.seed;
   bo.qat = false;
   nn::Graph g = models::build_ds_cnn(models::micronet_kws(models::ModelSize::kM), bo);
-  rt::Interpreter interp =
-      bench::calibrated_interpreter(g, Shape{49, 10, 1}, "micronet-kws-m");
+  // Pinned to the reference backend: the r^2 below measures how well the MCU
+  // model's per-layer shape matches the reference kernels, so MN_BACKEND must
+  // not change which kernels are timed.
+  rt::ModelDef kws =
+      bench::calibrated_model(g, Shape{49, 10, 1}, "micronet-kws-m");
+  rt::MemoryPlan kws_plan = rt::plan_memory(kws);
+  rt::Interpreter interp(std::move(kws), std::move(kws_plan),
+                         kernels::BackendConfig::reference());
   const mcu::Device& dev = mcu::stm32f767zi();
   // Install the per-op energy attribution so the trace carries the
   // "op_energy_uj" counter track next to arena/scratch/MAC occupancy.

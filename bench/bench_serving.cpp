@@ -83,7 +83,6 @@ serve::TenantConfig tenant_kws(const std::string& name) {
 
 struct PhaseResult {
   serve::ServeStats stats;
-  serve::LatencyDigest virt;
   serve::LatencyDigest wall_us;
   obs::TickHistogram fleet_hist;                 // merged per-tenant SLO view
   std::vector<obs::TickHistogram> tenant_hists;  // one per tenant
@@ -117,7 +116,6 @@ PhaseResult run_phase(serve::ServingEngine& engine, int64_t ticks,
                        std::chrono::steady_clock::now() - t0)
                        .count();
   r.stats = engine.stats();
-  r.virt = engine.virtual_latency();
   r.wall_us = engine.wall_latency_us();
   r.fleet_hist = engine.latency_histogram();
   for (int t = 0; t < engine.num_tenants(); ++t)
@@ -264,7 +262,9 @@ int main(int argc, char** argv) {
   std::printf(
       "  virtual p50/p99: %.0f/%.0f ticks   host p50/p99: %.0f/%.0f us\n"
       "  %.0f streams/min over %.2fs\n",
-      base.virt.p50, base.virt.p99, base.wall_us.p50, base.wall_us.p99,
+      static_cast<double>(base.fleet_hist.percentile(0.50)),
+      static_cast<double>(base.fleet_hist.percentile(0.99)), base.wall_us.p50,
+      base.wall_us.p99,
       base_streams_per_min, base.wall_seconds);
 
   const int64_t base_violations =
@@ -294,15 +294,17 @@ int main(int argc, char** argv) {
                  ? static_cast<double>(base.stats.total_shed()) /
                        static_cast<double>(base.stats.submitted)
                  : 0.0);
-  rep.metric("baseline_p50_ticks", base.virt.p50);
-  rep.metric("baseline_p99_ticks", base.virt.p99);
+  rep.metric("baseline_p50_ticks",
+             static_cast<double>(base.fleet_hist.percentile(0.50)));
+  rep.metric("baseline_p99_ticks",
+             static_cast<double>(base.fleet_hist.percentile(0.99)));
   rep.metric("baseline_p50_host_us", base.wall_us.p50);
   rep.metric("baseline_p95_host_us", base.wall_us.p95);
   rep.metric("baseline_p99_host_us", base.wall_us.p99);
   rep.metric("baseline_p999_host_us", base.wall_us.p999);
   rep.metric("baseline_streams_per_min", base_streams_per_min);
-  // Whole-run SLO histogram (deterministic log buckets): unlike the virt
-  // digest these merge per-tenant views and never evict, so they gate EXACT.
+  // Whole-run SLO histogram (deterministic log buckets): the merged
+  // per-tenant views never evict, so they gate EXACT.
   rep.metric("baseline_fleet_p50_ticks",
              static_cast<double>(base.fleet_hist.percentile(0.50)));
   rep.metric("baseline_fleet_p95_ticks",
@@ -391,7 +393,8 @@ int main(int argc, char** argv) {
   rep.metric("chaos_final_sweep_count",
              static_cast<double>(chaos.final_sweep_detections));
   rep.metric("chaos_shed_rate", chaos_shed_rate);
-  rep.metric("chaos_p99_ticks", chaos.virt.p99);
+  rep.metric("chaos_p99_ticks",
+             static_cast<double>(chaos.fleet_hist.percentile(0.99)));
   rep.metric("chaos_p99_host_us", chaos.wall_us.p99);
   rep.metric("chaos_p999_host_us", chaos.wall_us.p999);
   rep.metric("chaos_fleet_p50_ticks",

@@ -12,6 +12,7 @@
 #include "kernels/kernels.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
+#include "runtime/interpreter.hpp"
 #include "runtime/planner.hpp"
 
 namespace mn::compile {
@@ -749,16 +750,6 @@ CompiledModel compile_model(rt::ModelDef model, const CompileConfig& cfg) {
   out.report = p.run(model);
   out.model = std::move(model);
   return out;
-}
-
-rt::Interpreter make_interpreter(rt::ModelDef model, const CompileConfig& cfg,
-                                 kernels::BackendConfig backend,
-                                 CompileReport* report) {
-  Pipeline p(cfg);
-  CompileReport r = p.run(model);
-  if (report != nullptr) *report = std::move(r);
-  rt::MemoryPlan plan = rt::plan_memory(model);
-  return rt::Interpreter(std::move(model), std::move(plan), backend);
 }
 
 int64_t verify_bit_identical(const rt::ModelDef& reference,

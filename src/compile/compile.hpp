@@ -46,8 +46,6 @@
 #include <string>
 #include <vector>
 
-#include "kernels/backend.hpp"
-#include "runtime/interpreter.hpp"
 #include "runtime/model.hpp"
 
 namespace mn::compile {
@@ -149,16 +147,6 @@ struct CompiledModel {
 // Convenience: compile a copy.
 CompiledModel compile_model(rt::ModelDef model,
                             const CompileConfig& cfg = CompileConfig::from_env());
-
-// Opt-in interpreter construction path: compile, plan, build. This is the
-// layering-correct entry point (runtime cannot depend on compile::); callers
-// that want a compiled interpreter go through here, everyone else keeps
-// constructing rt::Interpreter directly. `report`, when non-null, receives
-// the CompileReport.
-rt::Interpreter make_interpreter(rt::ModelDef model,
-                                 const CompileConfig& cfg = CompileConfig::from_env(),
-                                 kernels::BackendConfig backend = {},
-                                 CompileReport* report = nullptr);
 
 // Differential harness enforcing the bit-identity contract: runs `trials`
 // randomized int8 inputs (seeded, deterministic) through both models at each

@@ -79,8 +79,8 @@ class TickHistogram {
   int64_t max() const { return max_; }
   const std::vector<int64_t>& buckets() const { return counts_; }
 
-  // Nearest-rank percentile (the convention serve::digest uses), reported as
-  // the lower bound of the bucket holding the rank'th sample. Exact for
+  // Nearest-rank percentile (rank = ceil(q * count)), reported as the lower
+  // bound of the bucket holding the rank'th sample. Exact for
   // values below 2 * kLinear; never above the true value elsewhere. Returns
   // 0 on an empty histogram.
   int64_t percentile(double q) const {

@@ -31,8 +31,6 @@ const char* abort_reason_name(AbortReason r) {
     case AbortReason::kShadowFault: return "shadow_fault";
     case AbortReason::kGoldenMismatch: return "golden_mismatch";
     case AbortReason::kCandidateQuarantine: return "candidate_quarantine";
-    case AbortReason::kLatencyGuard: return "latency_guard";
-    case AbortReason::kFailureGuard: return "failure_guard";
   }
   return "unknown";
 }
@@ -66,7 +64,6 @@ rt::Expected<int> RolloutController::begin(int version) {
     throw std::logic_error("RolloutController: a rollout is already in flight");
   stats_ = RolloutStats{};
   report_ = AbortReport{};
-  cohort_.clear();
   poison_fired_ = false;
   completion_tick_ = -1;
   ramp_idx_ = -1;
@@ -186,37 +183,11 @@ void RolloutController::maybe_fire_poison() {
   }
 }
 
-AbortReason RolloutController::check_guards() {
-  const GuardConfig& g = cfg_.guards;
-  if (stats_.shadow_divergences > g.max_shadow_divergences)
-    return AbortReason::kShadowDivergence;
-  if (stats_.shadow_faults > g.max_shadow_faults)
-    return AbortReason::kShadowFault;
-  if (stats_.golden_mismatches > g.max_golden_mismatches)
-    return AbortReason::kGoldenMismatch;
-  if (candidate_rebuilds() > g.max_candidate_quarantines)
-    return AbortReason::kCandidateQuarantine;
-  if (stage_ == Stage::kCanary || stage_ == Stage::kRamp) {
-    if (g.max_cohort_p99_ticks > 0)
-      for (int t : cohort_)
-        if (engine_.tenant_p99(t) > g.max_cohort_p99_ticks)
-          return AbortReason::kLatencyGuard;
-    if (g.max_failed_rate > 0.0) {
-      int64_t failed = 0, completed = 0;
-      for (size_t i = 0; i < participants_.size(); ++i) {
-        const int t = participants_[i];
-        if (std::find(cohort_.begin(), cohort_.end(), t) == cohort_.end())
-          continue;
-        const serve::ServeStats& s = engine_.tenant_stats(t);
-        failed += s.failed - baselines_[i].failed;
-        completed += s.completed() - baselines_[i].completed;
-      }
-      if (completed >= g.min_failed_samples &&
-          static_cast<double>(failed) >
-              g.max_failed_rate * static_cast<double>(completed))
-        return AbortReason::kFailureGuard;
-    }
-  }
+AbortReason RolloutController::check_guards() const {
+  if (stats_.shadow_divergences > 0) return AbortReason::kShadowDivergence;
+  if (stats_.shadow_faults > 0) return AbortReason::kShadowFault;
+  if (stats_.golden_mismatches > 0) return AbortReason::kGoldenMismatch;
+  if (candidate_rebuilds() > 0) return AbortReason::kCandidateQuarantine;
   return AbortReason::kNone;
 }
 
@@ -286,15 +257,9 @@ void RolloutController::assign_cohort(int pct) {
   int k = 0;
   if (pct >= 100) k = n;
   else if (pct > 0) k = std::max(1, n * pct / 100);
-  cohort_.clear();
-  for (int i = 0; i < n; ++i) {
-    const int t = ranked[static_cast<size_t>(i)].second;
-    const bool on_candidate = i < k;
-    engine_.pin_primary(t, on_candidate ? candidate_variant_
-                                        : incumbent_variant_);
-    if (on_candidate) cohort_.push_back(t);
-  }
-  std::sort(cohort_.begin(), cohort_.end());
+  for (int i = 0; i < n; ++i)
+    engine_.pin_primary(ranked[static_cast<size_t>(i)].second,
+                        i < k ? candidate_variant_ : incumbent_variant_);
   stats_.cohort_size = k;
 }
 
@@ -332,7 +297,6 @@ void RolloutController::rollback(AbortReason reason, std::string detail) {
 
   ++stats_.rollbacks;
   stats_.cohort_size = 0;
-  cohort_.clear();
   completion_tick_ = engine_.now();
   obs::event_emit({obs::EventKind::kRolloutAbort, /*tenant=*/-1, /*seq=*/-1,
                    engine_.now(), static_cast<int64_t>(reason),
@@ -352,16 +316,6 @@ void RolloutController::enter(Stage s) {
   trajectory_ = hash_combine(
       trajectory_, hash_combine(static_cast<uint64_t>(s) << 8,
                                 static_cast<uint64_t>(engine_.now())));
-  snapshot_baselines();
-}
-
-void RolloutController::snapshot_baselines() {
-  baselines_.clear();
-  baselines_.reserve(participants_.size());
-  for (int t : participants_) {
-    const serve::ServeStats& s = engine_.tenant_stats(t);
-    baselines_.push_back(TenantBaseline{s.failed, s.completed()});
-  }
 }
 
 int64_t RolloutController::candidate_rebuilds() const {

@@ -12,8 +12,8 @@
 //   while (...) { engine.step(); ctl.tick(); }   // tick after every step
 //
 // tick() must be called exactly once after each engine.step(); all state
-// the controller reads (stats deltas, pool rebuild counts, windowed p99) is
-// settled at that point, and nothing is executing, so poking replica memory
+// the controller reads (stats deltas, pool rebuild counts) is settled at
+// that point, and nothing is executing, so poking replica memory
 // (PoisonPlan) cannot race with kernel threads.
 #pragma once
 
@@ -70,19 +70,15 @@ class RolloutController {
   uint64_t fingerprint() const;
 
  private:
-  struct TenantBaseline {
-    int64_t failed = 0;
-    int64_t completed = 0;
-  };
-
   void maybe_fire_poison();
-  // Returns the first breached guard (kNone when healthy).
-  AbortReason check_guards();
+  // Returns the first breached guard (kNone when healthy). Guards are
+  // zero-tolerance: any shadow divergence, shadow fault, golden mismatch or
+  // candidate quarantine aborts the rollout.
+  AbortReason check_guards() const;
   void promote();
   void assign_cohort(int pct);
   void rollback(AbortReason reason, std::string detail);
   void enter(Stage s);
-  void snapshot_baselines();
   int64_t candidate_rebuilds() const;
   Tick stage_duration() const;
 
@@ -99,12 +95,10 @@ class RolloutController {
   int incumbent_variant_ = -1;
   int ramp_idx_ = -1;
   std::vector<int> participants_;  // tenant ids in this rollout's fleet
-  std::vector<int> cohort_;        // tenants currently on the candidate
 
-  // Stage-entry snapshots for guard deltas.
+  // Rollout-start snapshots for the shadow guard deltas.
   int64_t base_shadow_div_ = 0;
   int64_t base_shadow_faults_ = 0;
-  std::vector<TenantBaseline> baselines_;  // indexed like participants_
 
   // Golden-vector mirrors (standalone replicas; never in rotation).
   std::unique_ptr<rt::Interpreter> golden_incumbent_;

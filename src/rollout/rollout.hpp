@@ -10,12 +10,12 @@
 //   kRamp     cohort widens through ramp_pcts, guards watched at each step
 //   kComplete candidate becomes the registry's active version
 //
-// Any guard breach at any stage — shadow divergence, golden-vector
-// mismatch, candidate-replica quarantine, cohort p99 or failure-rate
-// regression, or a provenance failure at a promotion boundary — triggers
-// automatic rollback: every tenant is re-pinned to the incumbent, every
-// candidate replica is re-imaged from the incumbent's pristine image, and a
-// typed AbortReport records what fired and when.
+// Any guard breach at any stage — a shadow divergence or fault, a
+// golden-vector mismatch, a candidate-replica quarantine, or a provenance
+// failure at a promotion boundary — triggers automatic rollback: every
+// tenant is re-pinned to the incumbent, every candidate replica is
+// re-imaged from the incumbent's pristine image, and a typed AbortReport
+// records what fired and when.
 //
 // Like the serving engine underneath it, the controller runs in virtual
 // time: every promotion and abort decision depends only on integer ticks,
@@ -52,26 +52,8 @@ enum class AbortReason : uint8_t {
   kShadowFault,          // mirror invoke returned a typed error
   kGoldenMismatch,       // golden vector disagreed between versions
   kCandidateQuarantine,  // a candidate replica was quarantined + rebuilt
-  kLatencyGuard,         // cohort windowed p99 above the guard
-  kFailureGuard,         // cohort failure rate above the guard
 };
 const char* abort_reason_name(AbortReason r);
-
-// Health guards watched while the candidate carries traffic (and, for the
-// shadow counters, while it mirrors). A guard value is the maximum the
-// rollout tolerates; exceeding it aborts. <= 0 disables the p99/failure
-// guards; the count guards treat 0 as "any occurrence aborts".
-struct GuardConfig {
-  int64_t max_shadow_divergences = 0;
-  int64_t max_shadow_faults = 0;
-  int64_t max_golden_mismatches = 0;
-  int64_t max_candidate_quarantines = 0;
-  Tick max_cohort_p99_ticks = -1;
-  double max_failed_rate = -1.0;
-  // Failure-rate guard only fires once the cohort completed at least this
-  // many requests during the stage (avoids aborting on one unlucky request).
-  int64_t min_failed_samples = 16;
-};
 
 struct RolloutConfig {
   uint64_t seed = 0x5EED0FF1CEULL;  // cohort hash-bucketing seed
@@ -82,7 +64,6 @@ struct RolloutConfig {
   std::vector<int> ramp_pcts = {50, 100};
   Tick ramp_step_ticks = 32;        // hold per ramp step
   Tick rollback_cooldown_ticks = 4; // re-imaged replicas sit out this long
-  GuardConfig guards;
   // Golden vectors replayed through both versions during shadow and
   // compared bit-exactly (deterministic kernels make that sound).
   std::vector<TensorF> golden_inputs;

@@ -16,20 +16,11 @@ namespace mn::serve {
 
 namespace {
 
-constexpr int64_t kLatencyWindow = 128;  // per-tenant p99 ring size
+constexpr int64_t kLatencyWindow = 128;  // per-tenant latency ring size
 
 bool is_shed(Outcome o) {
   return o == Outcome::kRejectedQueueFull || o == Outcome::kRejectedBreaker ||
          o == Outcome::kDroppedOldest || o == Outcome::kExpiredInQueue;
-}
-
-double percentile(const std::vector<int64_t>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  // Nearest-rank on the sorted samples; exact and deterministic.
-  const auto n = static_cast<int64_t>(sorted.size());
-  int64_t rank = static_cast<int64_t>(std::ceil(q * static_cast<double>(n)));
-  rank = std::clamp<int64_t>(rank, 1, n);
-  return static_cast<double>(sorted[static_cast<size_t>(rank - 1)]);
 }
 
 }  // namespace
@@ -55,20 +46,6 @@ const char* outcome_name(Outcome o) {
     case Outcome::kOutcomeCount: break;  // sentinel, never a disposition
   }
   return "unknown";
-}
-
-LatencyDigest digest(const std::vector<int64_t>& samples) {
-  LatencyDigest d;
-  d.count = static_cast<int64_t>(samples.size());
-  if (samples.empty()) return d;
-  std::vector<int64_t> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  d.p50 = percentile(sorted, 0.50);
-  d.p95 = percentile(sorted, 0.95);
-  d.p99 = percentile(sorted, 0.99);
-  d.p999 = percentile(sorted, 0.999);
-  d.max = sorted.back();
-  return d;
 }
 
 ServingEngine::Tenant::Tenant(TenantConfig c)
@@ -144,10 +121,6 @@ bool ServingEngine::shadow_enabled(int tenant) const {
 
 int64_t ServingEngine::variant_dispatches(int variant) const {
   return variant_dispatches_.at(static_cast<size_t>(variant));
-}
-
-Tick ServingEngine::tenant_p99(int tenant) const {
-  return tenant_window_p99(tenants_.at(static_cast<size_t>(tenant)));
 }
 
 const obs::TickHistogram& ServingEngine::tenant_histogram(int tenant) const {
@@ -300,10 +273,14 @@ reliability::StreamWatchdog& ServingEngine::tenant_watchdog(int tenant) {
 }
 
 LatencyDigest ServingEngine::wall_latency_us() const {
-  std::vector<int64_t> us;
-  us.reserve(wall_ns_.size());
-  for (int64_t ns : wall_ns_) us.push_back(ns / 1000);
-  return digest(us);
+  LatencyDigest d;
+  d.count = wall_us_.count();
+  d.p50 = static_cast<double>(wall_us_.percentile(0.50));
+  d.p95 = static_cast<double>(wall_us_.percentile(0.95));
+  d.p99 = static_cast<double>(wall_us_.percentile(0.99));
+  d.p999 = static_cast<double>(wall_us_.percentile(0.999));
+  d.max = wall_us_.max();
+  return d;
 }
 
 Tick ServingEngine::min_service_ticks(const Tenant& t) const {
@@ -314,9 +291,14 @@ Tick ServingEngine::min_service_ticks(const Tenant& t) const {
 
 Tick ServingEngine::tenant_window_p99(const Tenant& t) const {
   if (t.lat_window.empty()) return 0;
-  std::vector<int64_t> sorted(t.lat_window.begin(), t.lat_window.end());
-  std::sort(sorted.begin(), sorted.end());
-  return static_cast<Tick>(percentile(sorted, 0.99));
+  // Nearest-rank p99 over the ring (TickHistogram::percentile's convention),
+  // exact at any window content.
+  std::vector<Tick> w = t.lat_window;
+  const auto n = static_cast<int64_t>(w.size());
+  const int64_t rank = std::clamp<int64_t>(
+      static_cast<int64_t>(std::ceil(0.99 * static_cast<double>(n))), 1, n);
+  std::nth_element(w.begin(), w.begin() + (rank - 1), w.end());
+  return w[static_cast<size_t>(rank - 1)];
 }
 
 // --- completion path --------------------------------------------------------
@@ -379,9 +361,8 @@ void ServingEngine::complete(Inflight rec) {
                   : rec.variant == t.fallback      ? Outcome::kServedDegraded
                                                    : Outcome::kServedRollback;
       const Tick lat = rec.completes - rec.req.arrival;
-      virtual_lat_.push_back(lat);
-      wall_ns_.push_back(rec.wall_ns);
       t.hist.record(lat);
+      wall_us_.record(rec.wall_ns / 1000);
       if (static_cast<int64_t>(t.lat_window.size()) < kLatencyWindow) {
         t.lat_window.push_back(lat);
       } else {
@@ -560,10 +541,7 @@ void ServingEngine::evaluate_degradation() {
     if (t.fallback < 0) continue;
     const bool depth_hot = t.cfg.degrade_queue_depth > 0 &&
                            t.queue.size() > t.cfg.degrade_queue_depth;
-    const bool p99_hot = t.cfg.degrade_p99_ticks > 0 &&
-                         t.lat_seen >= kLatencyWindow / 8 &&
-                         tenant_window_p99(t) > t.cfg.degrade_p99_ticks;
-    if (depth_hot || p99_hot) {
+    if (depth_hot) {
       t.degrade_ok_run = 0;
       if (!t.degraded) {
         t.degraded = true;

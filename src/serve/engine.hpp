@@ -18,8 +18,8 @@
 //
 // All transitions run in virtual ticks; see serve.hpp for the determinism
 // contract. The engine advances one tick per step(): completions first, then
-// watchdog liveness, background chaos, canary health checks, degradation
-// triggers, and finally dispatch — new dispatches execute their real
+// watchdog liveness, background chaos, canary health checks, the degradation
+// trigger, and finally dispatch — new dispatches execute their real
 // inference in parallel across the worker pool before the tick ends.
 #pragma once
 
@@ -93,15 +93,12 @@ class ServingEngine {
   int64_t variant_dispatches(int variant) const;
 
   int num_tenants() const { return static_cast<int>(tenants_.size()); }
-  // Windowed virtual-latency p99 for one tenant (the rollout guard input;
-  // same ring the degradation trigger reads).
-  Tick tenant_p99(int tenant) const;
 
   // Cumulative per-tenant SLO histogram over served virtual latencies
   // (deterministic log buckets, obs/histogram.hpp) and the merged fleet
-  // view. Unlike the lat_window ring these never evict, so p50/p95/p99/p999
-  // cover the whole run; like everything tick-derived they are bit-identical
-  // at any MN_THREADS.
+  // view — the engine's latency record. Fixed-size, so memory does not grow
+  // with requests served; p50/p95/p99/p999 cover the whole run and, like
+  // everything tick-derived, are bit-identical at any MN_THREADS.
   const obs::TickHistogram& tenant_histogram(int tenant) const;
   obs::TickHistogram latency_histogram() const;
 
@@ -133,9 +130,10 @@ class ServingEngine {
   // runtime, e.g. tightened under load).
   reliability::StreamWatchdog& tenant_watchdog(int tenant);
 
-  // Virtual-time latency of served requests (deterministic) and measured
-  // host wall-clock per invoke (microseconds; informational).
-  LatencyDigest virtual_latency() const { return digest(virtual_lat_); }
+  // Measured host wall-clock per served invoke, in microseconds
+  // (informational; never feeds a decision). Backed by a TickHistogram, so
+  // values below 128 us are exact and larger ones are bucket lower bounds
+  // within 1/64 of the true value.
   LatencyDigest wall_latency_us() const;
 
   // Order-exact hash over every terminal outcome (tenant, seq, outcome,
@@ -161,7 +159,9 @@ class ServingEngine {
     // in the pool's rotation, so mirroring steals no serving capacity).
     int shadow_variant = -1;
     std::unique_ptr<rt::Interpreter> shadow_mirror;
-    std::vector<Tick> lat_window;  // ring of recent virtual latencies
+    // Ring of the last kLatencyWindow served virtual latencies; its p99
+    // rides in the degrade enter/exit events.
+    std::vector<Tick> lat_window;
     int64_t lat_seen = 0;
     obs::TickHistogram hist;       // cumulative served-latency histogram
     int64_t inflight = 0;
@@ -212,8 +212,7 @@ class ServingEngine {
   int rr_ = 0;  // round-robin dispatch cursor
   ServeStats stats_;
   std::vector<int64_t> variant_dispatches_;  // indexed by pool variant id
-  std::vector<int64_t> virtual_lat_;
-  std::vector<int64_t> wall_ns_;
+  obs::TickHistogram wall_us_;  // host wall-clock per served invoke, in us
   uint64_t fingerprint_ = 0x9E3779B97F4A7C15ULL;
 };
 

@@ -29,12 +29,9 @@ int InterpreterPool::add_variant(VariantSpec spec) {
   v.weights_crc = v.pristine.weights_crc();
   const int id = static_cast<int>(variants_.size());
   variants_.push_back(std::move(v));
-  const Variant& stored = variants_.back();
   for (int i = 0; i < spec.instances; ++i) {
     Instance inst;
-    inst.interp = std::make_unique<rt::Interpreter>(
-        stored.pristine, stored.plan, stored.backend, stored.packed);
-    inst.interp->set_verify_weights_each_invoke(true);
+    inst.interp = make_replica(id);
     inst.variant = id;
     instances_.push_back(std::move(inst));
   }
@@ -95,13 +92,10 @@ void InterpreterPool::quarantine(int idx, Tick until) {
 
 void InterpreterPool::reimage(int idx, int variant, Tick until) {
   Instance& inst = instances_[static_cast<size_t>(idx)];
-  const Variant& v = variants_[static_cast<size_t>(variant)];
-  // Re-plan: a fresh interpreter from the pristine model reuses the shared
-  // plan and packed panels, so recovery costs one arena allocation — neither
-  // a planner run nor a re-pack.
-  inst.interp = std::make_unique<rt::Interpreter>(v.pristine, v.plan,
-                                                  v.backend, v.packed);
-  inst.interp->set_verify_weights_each_invoke(true);
+  // Re-plan: a fresh replica from the pristine model reuses the shared plan
+  // and packed panels, so recovery costs one arena allocation — neither a
+  // planner run nor a re-pack.
+  inst.interp = make_replica(variant);
   inst.variant = variant;
   inst.busy_until = until;
   ++inst.rebuilds;

@@ -51,9 +51,11 @@ class InterpreterPool {
   const rt::ModelDef& pristine(int variant) const {
     return variants_[static_cast<size_t>(variant)].pristine;
   }
-  // A fresh standalone replica of `variant` (pristine image + shared plan,
-  // per-invoke CRC verification armed) that is NOT entered into the pool —
-  // used for shadow mirrors and bit-equivalence checks.
+  // A fresh replica of `variant` (pristine image + shared plan and panels,
+  // per-invoke CRC verification armed). The pool builds its own instances
+  // and quarantine/reimage rebuilds through it; returned standalone it is
+  // NOT entered into the pool — used for shadow mirrors and bit-equivalence
+  // checks.
   std::unique_ptr<rt::Interpreter> make_replica(int variant) const;
 
   // Lowest-index healthy replica of `variant` free at `now`, or -1. Does not

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "compile/compile.hpp"
 #include "kernels/backend.hpp"
@@ -88,11 +87,10 @@ struct TenantConfig {
   Tick retry_backoff_ticks = 1;    // delay doubles with each attempt
   int breaker_threshold = 8;       // consecutive request failures to trip
   Tick breaker_cooldown_ticks = 32;
-  // Graceful degradation triggers (either; <= 0 disables that trigger).
-  // When tripped, new dispatches route to the fallback variant until the
-  // pressure stays below the trigger for degrade_hold_ticks.
+  // Graceful degradation trigger (<= 0 disables). When the queue is deeper
+  // than this, new dispatches route to the fallback variant until the depth
+  // stays at or below it for degrade_hold_ticks.
   int64_t degrade_queue_depth = -1;
-  Tick degrade_p99_ticks = -1;
   Tick degrade_hold_ticks = 16;
   // Liveness: ticks without a served request before the tenant's watchdog
   // declares the stream stalled and force-opens the breaker (0 = off).
@@ -150,6 +148,5 @@ struct LatencyDigest {
   double p50 = 0.0, p95 = 0.0, p99 = 0.0, p999 = 0.0;
   int64_t max = 0;
 };
-LatencyDigest digest(const std::vector<int64_t>& samples);
 
 }  // namespace mn::serve

@@ -399,12 +399,12 @@ TEST(CompilePipeline, ReportAndObsCountersAccount) {
   EXPECT_NE(s.find("ops"), std::string::npos);
 }
 
-TEST(CompilePipeline, MakeInterpreterMatchesReferenceOutputs) {
+TEST(CompilePipeline, CompiledInterpreterMatchesReferenceOutputs) {
   const ModelDef ref = kws_model(9, /*fuse=*/false);
-  CompileReport report;
-  rt::Interpreter compiled = make_interpreter(
-      ref, CompileConfig::all(), kernels::BackendConfig::reference(), &report);
-  EXPECT_TRUE(report.enabled);
+  CompiledModel c = compile_model(ref, CompileConfig::all());
+  EXPECT_TRUE(c.report.enabled);
+  rt::Interpreter compiled(c.model, rt::plan_memory(c.model),
+                           kernels::BackendConfig::reference());
   rt::Interpreter plain(ref, rt::plan_memory(ref),
                         kernels::BackendConfig::reference());
   Rng rng(99);

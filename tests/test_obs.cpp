@@ -409,7 +409,7 @@ TEST_F(ObsTest, DisabledBuildExportersStillRender) {
 
 // --- deterministic SLO histograms (plain value type: both configurations) ---
 
-// Nearest-rank oracle matching serve::digest / TickHistogram::percentile:
+// Nearest-rank oracle matching TickHistogram::percentile:
 // rank = ceil(q * n) clamped to [1, n], 1-indexed into the sorted samples.
 int64_t oracle_percentile(std::vector<int64_t> samples, double q) {
   if (samples.empty()) return 0;

@@ -5,6 +5,7 @@
 // the outcome fingerprint are bit-identical at any thread count).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -15,68 +16,24 @@
 #include <vector>
 
 #include "kernels/backend.hpp"
-#include "models/backbones.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/histogram.hpp"
 #include "parallel/pool.hpp"
-#include "runtime/converter.hpp"
 #include "runtime/planner.hpp"
 #include "serve/engine.hpp"
-#include "tensor/rng.hpp"
+#include "serve_fixtures.hpp"
 
 using namespace mn;
 
+using test::clean_inputs;
+using test::make_variant;
+using test::tiny_model;
+
 namespace {
-
-rt::ModelDef tiny_model(uint64_t seed = 1, int weight_bits = 8,
-                        int64_t stem = 8) {
-  models::DsCnnConfig cfg;
-  cfg.input = Shape{12, 8, 1};
-  cfg.num_classes = 4;
-  cfg.stem_channels = stem;
-  cfg.stem_kh = 3;
-  cfg.stem_kw = 3;
-  cfg.blocks = {{8, 1}};
-  models::BuildOptions opt;
-  opt.seed = seed;
-  opt.qat = false;
-  nn::Graph g = models::build_ds_cnn(cfg, opt);
-  Rng rng(seed + 1);
-  TensorF batch(Shape{2, 12, 8, 1});
-  for (int64_t i = 0; i < batch.size(); ++i)
-    batch[i] = static_cast<float>(rng.normal(0.0, 0.5));
-  const rt::RangeMap ranges = rt::calibrate_ranges(g, batch);
-  rt::ConvertOptions co;
-  co.name = "serve_tiny";
-  co.weight_bits = weight_bits;
-  co.act_bits = weight_bits;
-  return rt::convert(g, co, &ranges);
-}
-
-std::vector<TensorF> clean_inputs(int n, uint64_t seed = 9) {
-  Rng rng(seed);
-  std::vector<TensorF> v;
-  for (int i = 0; i < n; ++i) {
-    TensorF t(Shape{12, 8, 1});
-    for (int64_t k = 0; k < t.size(); ++k)
-      t[k] = static_cast<float>(rng.normal(0.0, 0.5));
-    v.push_back(std::move(t));
-  }
-  return v;
-}
 
 std::vector<TensorF> nan_inputs(int n) {
   std::vector<TensorF> v = clean_inputs(n);
   for (TensorF& t : v) t[0] = std::numeric_limits<float>::quiet_NaN();
-  return v;
-}
-
-serve::VariantSpec make_variant(serve::Tick service_ticks, int instances,
-                                uint64_t seed = 1, int bits = 8) {
-  serve::VariantSpec v;
-  v.model = tiny_model(seed, bits);
-  v.service_ticks = service_ticks;
-  v.instances = instances;
   return v;
 }
 
@@ -370,7 +327,7 @@ namespace {
 struct ChaosRunResult {
   uint64_t fingerprint = 0;
   serve::ServeStats stats;
-  double p99_ticks = 0.0;
+  int64_t p99_ticks = 0;
 };
 
 ChaosRunResult chaos_run() {
@@ -401,7 +358,7 @@ ChaosRunResult chaos_run() {
   ChaosRunResult r;
   r.fingerprint = eng.fingerprint();
   r.stats = eng.stats();
-  r.p99_ticks = eng.virtual_latency().p99;
+  r.p99_ticks = eng.latency_histogram().percentile(0.99);
   return r;
 }
 
@@ -467,7 +424,7 @@ ChaosRunResult chaos_run_on(kernels::BackendConfig backend) {
   ChaosRunResult r;
   r.fingerprint = eng.fingerprint();
   r.stats = eng.stats();
-  r.p99_ticks = eng.virtual_latency().p99;
+  r.p99_ticks = eng.latency_histogram().percentile(0.99);
   return r;
 }
 
@@ -485,24 +442,11 @@ TEST(ServeBackend, FastPoolFingerprintMatchesReference) {
   EXPECT_EQ(fast.p99_ticks, ref.p99_ticks);
 }
 
-// --- latency digest ----------------------------------------------------------
-
-TEST(ServeDigest, NearestRankPercentiles) {
-  std::vector<int64_t> s;
-  for (int64_t i = 1; i <= 100; ++i) s.push_back(i);
-  const serve::LatencyDigest d = serve::digest(s);
-  EXPECT_EQ(d.count, 100);
-  EXPECT_EQ(d.p50, 50.0);
-  EXPECT_EQ(d.p95, 95.0);
-  EXPECT_EQ(d.p99, 99.0);
-  EXPECT_EQ(d.p999, 100.0);  // ceil(0.999 * 100) = rank 100
-  EXPECT_EQ(d.max, 100);
-  EXPECT_EQ(serve::digest({}).count, 0);
-}
-
 // --- per-tenant SLO histograms -----------------------------------------------
 
-TEST(ServeHistogram, TenantHistogramsMergeToFleetAndMatchDigest) {
+TEST(ServeHistogram, TenantHistogramsMergeToFleetAndMatchServedLatencies) {
+  obs::event_reserve(1 << 14);
+  obs::event_clear();
   serve::ServingEngine eng{serve::EngineConfig{}};
   serve::TenantConfig t0;
   t0.deadline_ticks = 48;
@@ -526,18 +470,31 @@ TEST(ServeHistogram, TenantHistogramsMergeToFleetAndMatchDigest) {
   EXPECT_EQ(merged.count(), eng.stats().total_served());
   EXPECT_EQ(eng.tenant_histogram(0).count(),
             eng.tenant_stats(0).total_served());
-  // Under-capacity latencies sit in the histogram's singleton range, so the
-  // histogram percentiles equal the exact sorted-sample digest.
-  const serve::LatencyDigest d = eng.virtual_latency();
+  // One wall-clock sample per served invoke, in the same fixed histogram.
+  EXPECT_EQ(eng.wall_latency_us().count, eng.stats().total_served());
+  EXPECT_LE(eng.wall_latency_us().p50, eng.wall_latency_us().p99);
   ASSERT_LT(eng.latency_histogram().max(), 128);
-  EXPECT_EQ(static_cast<double>(eng.latency_histogram().percentile(0.50)),
-            d.p50);
-  EXPECT_EQ(static_cast<double>(eng.latency_histogram().percentile(0.95)),
-            d.p95);
-  EXPECT_EQ(static_cast<double>(eng.latency_histogram().percentile(0.99)),
-            d.p99);
-  EXPECT_EQ(static_cast<double>(eng.latency_histogram().percentile(0.999)),
-            d.p999);
+#if !defined(MN_OBS_DISABLED)
+  // Under-capacity latencies sit in the histogram's singleton range, so its
+  // percentiles equal the exact nearest-rank order statistics of the served
+  // latencies the flight recorder logged (kComplete carries the latency).
+  std::vector<int64_t> served;
+  for (const obs::Event& e : obs::event_snapshot()) {
+    if (e.kind != obs::EventKind::kComplete) continue;
+    const auto o = static_cast<serve::Outcome>(e.a);
+    if (o == serve::Outcome::kServed || o == serve::Outcome::kServedDegraded ||
+        o == serve::Outcome::kServedLate)
+      served.push_back(e.b);
+  }
+  ASSERT_EQ(static_cast<int64_t>(served.size()), eng.stats().total_served());
+  std::sort(served.begin(), served.end());
+  const auto n = static_cast<double>(served.size());
+  for (const double q : {0.50, 0.95, 0.99, 0.999}) {
+    const auto rank = static_cast<size_t>(std::ceil(q * n));
+    EXPECT_EQ(eng.latency_histogram().percentile(q), served[rank - 1])
+        << "q=" << q;
+  }
+#endif
 }
 
 // --- request-lifecycle flight recorder ---------------------------------------
