@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
   bo.qat = false;
   nn::Graph g = models::build_ds_cnn(models::micronet_kws(models::ModelSize::kM), bo);
   // Pinned to the reference backend: the r^2 below measures how well the MCU
-  // model's per-layer shape matches the reference kernels, so MN_BACKEND must
-  // not change which kernels are timed.
+  // model's per-layer shape matches the reference kernels, not the shipped
+  // fast path.
   rt::ModelDef kws =
       bench::calibrated_model(g, Shape{49, 10, 1}, "micronet-kws-m");
   rt::MemoryPlan kws_plan = rt::plan_memory(kws);

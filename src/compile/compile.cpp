@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
-#include <string_view>
 
 #include "kernels/kernels.hpp"
 #include "obs/obs.hpp"
@@ -23,24 +21,12 @@ using rt::OpDef;
 using rt::OpType;
 using rt::TensorDef;
 
-bool compile_enabled_from_env() {
-  const char* env = std::getenv("MN_COMPILE");
-  if (env == nullptr || env[0] == '\0') return false;
-  const std::string_view v(env);
-  if (v == "on" || v == "1" || v == "true") return true;
-  if (v == "off" || v == "0" || v == "false") return false;
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    std::fprintf(stderr,
-                 "MN_COMPILE=%s is not a compile mode (expected \"on\" or "
-                 "\"off\"); compilation stays off\n",
-                 env);
-  }
-  return false;
-}
-
 namespace {
+
+// Fixpoint bound for the rewrite loop (passes 1–4 can cascade: folding a
+// const op may make its consumer const-foldable, fusing an activation may
+// orphan a tensor, ...). Generous; real graphs converge in 2–3.
+constexpr int kMaxIterations = 8;
 
 // Per-tensor use sites, rebuilt after every mutating pass. `readers` lists an
 // op once per *distinct* input tensor it reads.
@@ -694,7 +680,7 @@ CompileReport Pipeline::run(rt::ModelDef& model) const {
   PassStats s_act{"fuse_activations", 0, 0, 0, 0, 0, 0};
   PassStats s_dce{"eliminate_dead", 0, 0, 0, 0, 0, 0};
   PassStats s_reorder{"reorder_memory", 0, 0, 0, 0, 0, 0};
-  for (int iter = 0; iter < cfg_.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     bool changed = false;
     if (cfg_.fold_constants) changed |= pass_fold_constants(model, s_const);
     if (cfg_.fold_affine)
@@ -774,7 +760,10 @@ int64_t verify_bit_identical(const rt::ModelDef& reference,
   int64_t compared = 0;
   for (int tc : thread_counts) {
     parallel::set_threads(tc);
-    rt::Interpreter ref_interp(reference);
+    // The reference side runs on the oracle kernels, so compiled output is
+    // checked against them whatever backend ships.
+    rt::Interpreter ref_interp(reference, {},
+                               kernels::BackendConfig::reference());
     rt::Interpreter cmp_interp(compiled);
     for (int t = 0; t < trials; ++t) {
       TensorI8 in(ref_in.shape);

@@ -50,11 +50,8 @@
 
 namespace mn::compile {
 
-// MN_COMPILE=on|1|true enables, =off|0|false (or unset) disables. An unknown
-// value warns on stderr once and disables — a typo must never silently turn
-// graph rewriting on or off without a trace in the log.
-bool compile_enabled_from_env();
-
+// Which passes run. The default is the shipped configuration, every pass
+// on; CompileConfig::none() is the explicitly named uncompiled choice.
 struct CompileConfig {
   bool enabled = true;
   bool fold_constants = true;
@@ -62,17 +59,7 @@ struct CompileConfig {
   bool fuse_activations = true;
   bool eliminate_dead = true;
   bool reorder_memory = true;
-  // Fixpoint bound for the rewrite loop (passes 1–4 can cascade: folding a
-  // const op may make its consumer const-foldable, fusing an activation may
-  // orphan a tensor, ...). Generous; real graphs converge in 2–3.
-  int max_iterations = 8;
 
-  // enabled resolved from MN_COMPILE (all passes on when enabled).
-  static CompileConfig from_env() {
-    CompileConfig c;
-    c.enabled = compile_enabled_from_env();
-    return c;
-  }
   static CompileConfig all() { return CompileConfig{}; }
   static CompileConfig none() {
     CompileConfig c;
@@ -129,7 +116,6 @@ struct CompileReport {
 // model untouched). Throws only on an invalid input model.
 class Pipeline {
  public:
-  Pipeline() : cfg_(CompileConfig::from_env()) {}
   explicit Pipeline(CompileConfig cfg) : cfg_(cfg) {}
 
   CompileReport run(rt::ModelDef& model) const;
@@ -145,8 +131,7 @@ struct CompiledModel {
 };
 
 // Convenience: compile a copy.
-CompiledModel compile_model(rt::ModelDef model,
-                            const CompileConfig& cfg = CompileConfig::from_env());
+CompiledModel compile_model(rt::ModelDef model, const CompileConfig& cfg);
 
 // Differential harness enforcing the bit-identity contract: runs `trials`
 // randomized int8 inputs (seeded, deterministic) through both models at each

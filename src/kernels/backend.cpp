@@ -1,7 +1,5 @@
 #include "kernels/backend.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 namespace mn::kernels {
@@ -12,27 +10,6 @@ const char* backend_name(BackendKind k) {
     case BackendKind::kFast: return "fast";
   }
   return "?";
-}
-
-std::optional<BackendKind> parse_backend_name(std::string_view name) {
-  if (name == "reference") return BackendKind::kReference;
-  if (name == "fast") return BackendKind::kFast;
-  return std::nullopt;
-}
-
-BackendKind backend_from_env() {
-  const char* env = std::getenv("MN_BACKEND");
-  if (env == nullptr || env[0] == '\0') return BackendKind::kReference;
-  if (auto k = parse_backend_name(env)) return *k;
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    std::fprintf(stderr,
-                 "MN_BACKEND=%s is not a kernel backend (expected "
-                 "\"reference\" or \"fast\"); using reference\n",
-                 env);
-  }
-  return BackendKind::kReference;
 }
 
 PackedOpWeights pack_rows_s8(std::span<const int8_t> weights, int64_t num_rows,

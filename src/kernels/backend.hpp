@@ -27,9 +27,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "kernels/kernels.hpp"
@@ -41,22 +39,15 @@ enum class BackendKind : uint8_t {
   kFast,
 };
 
-// Stable lowercase names ("reference", "fast") used by MN_BACKEND, obs
-// output and bench JSON.
+// Stable lowercase names ("reference", "fast") used by obs output and bench
+// JSON.
 const char* backend_name(BackendKind k);
-std::optional<BackendKind> parse_backend_name(std::string_view name);
 
-// Resolves the process-default backend from the MN_BACKEND environment
-// variable: "reference" (also unset/empty) or "fast". An unknown value warns
-// on stderr once and falls back to kReference — a typo must never silently
-// change numerical strategy without a trace in the log.
-BackendKind backend_from_env();
-
-// Per-interpreter backend request. Defaulting the member (not the ctor call
-// site) keeps env resolution at construction time, where it is observable
-// and testable.
+// Per-interpreter backend request. The default is the shipped configuration,
+// kFast; BackendConfig::reference() names the oracle that differential
+// tests, fig3 and the benchmarks compare against.
 struct BackendConfig {
-  BackendKind kind = backend_from_env();
+  BackendKind kind = BackendKind::kFast;
 
   static BackendConfig reference() { return {BackendKind::kReference}; }
   static BackendConfig fast() { return {BackendKind::kFast}; }

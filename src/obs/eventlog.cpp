@@ -1,8 +1,6 @@
 #include "obs/eventlog.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 
 #include "obs/obs.hpp"
@@ -81,23 +79,6 @@ void reserve_locked(size_t capacity) {
 
 }  // namespace
 
-std::size_t ring_capacity_from_env(std::size_t fallback) {
-  const char* env = std::getenv("MN_OBS_RING");
-  if (!env || !*env) return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(env, &end, 10);
-  if (end && *end == '\0' && v > 0) return static_cast<std::size_t>(v);
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    std::fprintf(stderr,
-                 "mn: MN_OBS_RING='%s' is not a positive integer; "
-                 "using default ring capacity %zu\n",
-                 env, fallback);
-  }
-  return fallback;
-}
-
 void event_reserve(std::size_t capacity) {
   std::lock_guard<std::mutex> lk(g_event_m);
   reserve_locked(capacity);
@@ -125,7 +106,7 @@ int64_t event_dropped() { return counter_value(Counter::kEventsDropped); }
 void event_emit(const Event& ev) {
   std::lock_guard<std::mutex> lk(g_event_m);
   if (g_events.empty())
-    reserve_locked(ring_capacity_from_env(kDefaultEventCapacity));
+    reserve_locked(kDefaultEventCapacity);
   // Fold before any eviction: the fingerprint covers the full emission
   // stream, so it cannot depend on ring capacity.
   g_ev_fingerprint = fold(g_ev_fingerprint, ev);

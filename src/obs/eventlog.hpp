@@ -79,8 +79,7 @@ struct PostmortemDump {
 
 // Preallocates the event ring (clamped to >= 16), clearing recorded events
 // and resetting the fingerprint. Without an explicit reserve, the first
-// emission allocates the default capacity (16384, overridable via the
-// MN_OBS_RING env — see ring_capacity_from_env).
+// emission allocates the default capacity (16384).
 void event_reserve(std::size_t capacity);
 // Drops recorded events, resets the fingerprint and drop count; keeps the
 // reserved capacity. (Postmortem captures are kept; reset_all clears those
@@ -109,11 +108,6 @@ PostmortemDump postmortem_latest();
 // counter is a Counter and resets with the registry).
 void postmortem_clear();
 
-// Shared MN_OBS_RING parse used for the span ring and event ring default
-// capacities: a positive integer overrides `fallback`; an unparseable value
-// warns once on stderr and falls back (the MN_BACKEND/MN_COMPILE pattern).
-std::size_t ring_capacity_from_env(std::size_t fallback);
-
 #else  // MN_OBS_DISABLED: every entry point is an inline no-op.
 
 inline void event_reserve(std::size_t) {}
@@ -128,9 +122,6 @@ inline void event_postmortem(const char*, int64_t) {}
 inline int64_t postmortem_count() { return 0; }
 inline PostmortemDump postmortem_latest() { return {}; }
 inline void postmortem_clear() {}
-inline std::size_t ring_capacity_from_env(std::size_t fallback) {
-  return fallback;
-}
 
 #endif  // MN_OBS_DISABLED
 

@@ -154,9 +154,7 @@ void set_tracing(bool on) {
   if (on) {
     std::lock_guard<std::mutex> lk(g_trace_m);
     if (g_ring.empty()) {
-      g_ring.assign(std::max(ring_capacity_from_env(kDefaultTraceCapacity),
-                             kMinTraceCapacity),
-                    TraceEvent{});
+      g_ring.assign(kDefaultTraceCapacity, TraceEvent{});
       g_head = 0;
       g_size = 0;
     }

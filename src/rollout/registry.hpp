@@ -42,7 +42,7 @@ class VersionRegistry {
                                 std::optional<uint32_t> manifest_crc =
                                     std::nullopt,
                                 compile::CompileConfig compile_cfg =
-                                    compile::CompileConfig::from_env());
+                                    compile::CompileConfig::all());
 
   int num_versions() const { return static_cast<int>(versions_.size()); }
   const Version& version(int id) const {

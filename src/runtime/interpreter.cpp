@@ -54,11 +54,6 @@ std::shared_ptr<const PackedModel> pack_model_weights(
   return pm;
 }
 
-Interpreter::Interpreter(ModelDef model) : Interpreter(std::move(model), {}) {}
-
-Interpreter::Interpreter(ModelDef model, MemoryPlan plan)
-    : Interpreter(std::move(model), std::move(plan), kernels::BackendConfig{}) {}
-
 Interpreter::Interpreter(ModelDef model, MemoryPlan plan,
                          kernels::BackendConfig config,
                          std::shared_ptr<const PackedModel> packed)
@@ -393,6 +388,10 @@ Expected<TensorI8> Interpreter::try_invoke_quantized(const TensorI8& input) {
     return RtError{ErrorCode::kCrcMismatch,
                    "Interpreter: weights blob CRC drifted since load "
                    "(flash fault or unannounced update)"};
+  if (panels_stale_) {
+    packed_ = pack_model_weights(model_, backend_);
+    panels_stale_ = false;
+  }
   try {
     auto in_b = arena_span(model_.input_tensor);
     if (in_t.bits == 8) {

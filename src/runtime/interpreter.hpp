@@ -64,23 +64,22 @@ std::shared_ptr<const PackedModel> pack_model_weights(
 class Interpreter {
  public:
   // The interpreter stores a copy of the model ("flash contents") and
-  // allocates its arena up front (AllocateTensors analog). The kernel
-  // backend resolves from MN_BACKEND (kernels::backend_from_env).
-  explicit Interpreter(ModelDef model);
-
-  // Pre-planned construction: reuses a MemoryPlan computed once per model so
-  // a pool of instances (serve::InterpreterPool) pays for planning a single
-  // time instead of once per replica. The plan must have been produced by
-  // plan_memory() for an identical graph; a mismatched plan is rejected.
-  Interpreter(ModelDef model, MemoryPlan plan);
-
-  // Full construction: explicit backend request and (optionally) pre-packed
-  // weight panels shared across instances. Ops the backend claims dispatch
-  // to its kernels; everything else falls back to reference per-op. A
-  // `packed` whose kind does not match `config` is rejected; pass nullptr to
-  // have the interpreter pack privately at construction.
-  Interpreter(ModelDef model, MemoryPlan plan, kernels::BackendConfig config,
-              std::shared_ptr<const PackedModel> packed = nullptr);
+  // allocates its arena up front (AllocateTensors analog).
+  //
+  // `plan`: an empty plan is computed here; a pool of instances
+  // (serve::InterpreterPool) passes one MemoryPlan computed once per model
+  // so it pays for planning a single time. An injected plan must have been
+  // produced by plan_memory() for an identical graph; a mismatched plan is
+  // rejected.
+  //
+  // `config`: the kernel backend (default fast). Ops the backend claims
+  // dispatch to its kernels; everything else falls back to reference per-op.
+  //
+  // `packed`: weight panels shared across instances. One whose kind does
+  // not match `config` is rejected; nullptr packs privately here.
+  explicit Interpreter(ModelDef model, MemoryPlan plan = {},
+                       kernels::BackendConfig config = {},
+                       std::shared_ptr<const PackedModel> packed = nullptr);
 
   // Float convenience path: quantizes the input with the model's input
   // tensor params, runs integer inference, dequantizes the output.
@@ -115,7 +114,13 @@ class Interpreter {
   // Fault-injection / testing access: the live weights blob ("flash") and
   // the activation arena including both guard bands ("SRAM"). Mutating
   // these simulates bit faults in the corresponding physical memory.
-  std::span<uint8_t> mutable_weights() { return model_.weights_blob; }
+  // Handing out the weights marks the packed panels stale: the next
+  // try_invoke* that passes the weights-CRC check repacks them privately
+  // from the live blob, so a fault lands on the bytes claimed ops execute.
+  std::span<uint8_t> mutable_weights() {
+    panels_stale_ = true;
+    return model_.weights_blob;
+  }
   std::span<uint8_t> mutable_arena() { return arena_; }
 
   const ModelDef& model() const { return model_; }
@@ -192,6 +197,7 @@ class Interpreter {
   int64_t invocations_ = 0;
   uint32_t expected_weights_crc_ = 0;
   bool verify_weights_crc_ = false;
+  bool panels_stale_ = false;  // see mutable_weights()
   // Profiling state: per-op MACs (precomputed), accumulated wall-clock, and
   // the number of invokes captured while profiling was on.
   bool profiling_ = false;

@@ -65,17 +65,17 @@ struct VariantSpec {
   rt::ModelDef model;
   Tick service_ticks = 1;
   int instances = 1;
-  // Kernel backend the variant's replicas execute on (default: MN_BACKEND).
+  // Kernel backend the variant's replicas execute on (default: fast).
   // Weight panels are packed once per variant and shared by every replica,
   // including quarantine/reimage rebuilds — outputs are bit-identical either
   // way, so fingerprints and golden vectors do not depend on this choice.
   kernels::BackendConfig backend{};
-  // Graph-compiler config (default: MN_COMPILE). Like the plan and the
+  // Graph-compiler config (default: every pass on). Like the plan and the
   // packed panels, compilation runs ONCE per variant: the compiled model
   // becomes the golden flash image every replica (including quarantine /
   // reimage rebuilds) is built from. The bit-identity contract means
   // fingerprints and golden vectors do not depend on this choice either.
-  compile::CompileConfig compile = compile::CompileConfig::from_env();
+  compile::CompileConfig compile = compile::CompileConfig::all();
 };
 
 struct TenantConfig {

@@ -4,11 +4,11 @@
 // over randomized conv/depthwise/FC geometries — odd sizes, stride 2,
 // symmetric and asymmetric padding, per-channel requant, channel counts that
 // are not multiples of the pack/tile width — and at MN_THREADS 1/2/8. Plus:
-// registry/env-resolution semantics, panel-packing invariants, a seeded
+// the fixed shipped defaults, panel-packing invariants, a seeded
 // >=500-case geometry fuzzer cross-checking ConvGeometry::macs() against a
 // per-output-pixel counting oracle, an asymmetric-padding golden vector
 // computed by an independent naive loop, and the interpreter/pool-facing
-// claim-or-fall-back behavior.
+// claim-or-fall-back behavior, including faults landing on executed bytes.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,6 +20,7 @@
 #include "parallel/pool.hpp"
 #include "runtime/converter.hpp"
 #include "runtime/interpreter.hpp"
+#include "serve/serve.hpp"
 #include "models/backbones.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor.hpp"
@@ -105,38 +106,14 @@ void check_conv_all_backends(const kernels::ConvGeometry& g,
 
 }  // namespace
 
-// --- registry / env resolution ----------------------------------------------
+// --- registry ----------------------------------------------------------------
 
 TEST(BackendRegistry, NamesRoundTrip) {
   EXPECT_STREQ(kernels::backend_name(kernels::BackendKind::kReference),
                "reference");
   EXPECT_STREQ(kernels::backend_name(kernels::BackendKind::kFast), "fast");
-  EXPECT_EQ(kernels::parse_backend_name("reference"),
-            kernels::BackendKind::kReference);
-  EXPECT_EQ(kernels::parse_backend_name("fast"), kernels::BackendKind::kFast);
-  EXPECT_FALSE(kernels::parse_backend_name("turbo").has_value());
-  EXPECT_FALSE(kernels::parse_backend_name("").has_value());
-  EXPECT_FALSE(kernels::parse_backend_name("FAST").has_value());
-}
-
-TEST(BackendRegistry, EnvResolution) {
-  ::unsetenv("MN_BACKEND");
-  EXPECT_EQ(kernels::backend_from_env(), kernels::BackendKind::kReference);
-  ::setenv("MN_BACKEND", "", 1);
-  EXPECT_EQ(kernels::backend_from_env(), kernels::BackendKind::kReference);
-  ::setenv("MN_BACKEND", "fast", 1);
-  EXPECT_EQ(kernels::backend_from_env(), kernels::BackendKind::kFast);
-  ::setenv("MN_BACKEND", "not-a-backend", 1);
-  EXPECT_EQ(kernels::backend_from_env(), kernels::BackendKind::kReference);
-  ::unsetenv("MN_BACKEND");
-  // BackendConfig's default member initializer resolves from the env at
-  // construction time; the factories ignore the env entirely.
-  ::setenv("MN_BACKEND", "fast", 1);
-  EXPECT_EQ(kernels::BackendConfig{}.kind, kernels::BackendKind::kFast);
   EXPECT_EQ(kernels::BackendConfig::reference().kind,
             kernels::BackendKind::kReference);
-  ::unsetenv("MN_BACKEND");
-  EXPECT_EQ(kernels::BackendConfig{}.kind, kernels::BackendKind::kReference);
   EXPECT_EQ(kernels::BackendConfig::fast().kind, kernels::BackendKind::kFast);
 }
 
@@ -544,6 +521,73 @@ TEST(BackendInterpreter, SharedPackedModelIsReusedAndValidated) {
   EXPECT_THROW(
       rt::Interpreter(m, plan, kernels::BackendConfig::fast(), ref_packed),
       std::runtime_error);
+}
+
+// A flip in a fast-claimed conv's weights that the CRC does not catch
+// (per-invoke verification off, the default) must reach compute: the fast
+// output follows the flipped bytes exactly as the reference output does.
+TEST(BackendInterpreter, UndetectedWeightFlipReachesFastCompute) {
+  const rt::ModelDef m = tiny_model(7);
+  const rt::MemoryPlan plan = rt::plan_memory(m);
+  const auto packed = rt::pack_model_weights(m, kernels::BackendConfig::fast());
+  rt::Interpreter ref(m, plan, kernels::BackendConfig::reference());
+  rt::Interpreter fast(m, plan, kernels::BackendConfig::fast(), packed);
+  rt::Interpreter guarded(m, plan, kernels::BackendConfig::fast(), packed);
+  guarded.set_verify_weights_each_invoke(true);
+  size_t conv = m.ops.size();
+  for (size_t i = 0; i < m.ops.size() && conv == m.ops.size(); ++i)
+    if (m.ops[i].type == rt::OpType::kConv2D &&
+        fast.op_backend(i) == kernels::BackendKind::kFast)
+      conv = i;
+  ASSERT_LT(conv, m.ops.size());
+  const rt::TensorDef& w =
+      m.tensors[static_cast<size_t>(m.ops[conv].inputs[1])];
+  const TensorI8 in = random_input(m, 77);
+  const TensorI8 clean = fast.invoke_quantized(in);
+  for (rt::Interpreter* interp : {&ref, &fast, &guarded}) {
+    std::span<uint8_t> blob = interp->mutable_weights();
+    for (int64_t k = 0; k < w.storage_bytes(); ++k)
+      blob[static_cast<size_t>(w.blob_offset + k)] ^= 0x40;
+  }
+  const TensorI8 out_ref = ref.invoke_quantized(in);
+  const TensorI8 out_fast = fast.invoke_quantized(in);
+  EXPECT_TRUE(out_fast == out_ref) << "fast output ignored the flipped weights";
+  EXPECT_FALSE(out_fast == clean) << "the flip did not change the output";
+  EXPECT_NE(fast.packed_model().get(), packed.get());
+  // A flip the CRC catches fails the invoke before any repack, so the
+  // replica keeps aliasing the shared panels.
+  const auto caught = guarded.try_invoke_quantized(in);
+  ASSERT_FALSE(caught.ok());
+  EXPECT_EQ(caught.error().code, rt::ErrorCode::kCrcMismatch);
+  EXPECT_EQ(guarded.packed_model().get(), packed.get());
+}
+
+// The shipped configuration is fixed in code: MN_BACKEND, MN_COMPILE and
+// MN_OBS_RING in the environment change nothing.
+TEST(BackendDefaults, FastAndCompiledWhateverTheEnvironment) {
+  ASSERT_EQ(::setenv("MN_BACKEND", "reference", 1), 0);
+  ASSERT_EQ(::setenv("MN_COMPILE", "off", 1), 0);
+  ASSERT_EQ(::setenv("MN_OBS_RING", "128", 1), 0);
+  EXPECT_EQ(kernels::BackendConfig{}.kind, kernels::BackendKind::kFast);
+  EXPECT_TRUE(serve::VariantSpec{}.compile.enabled);
+  const rt::ModelDef m = tiny_model(8);
+  const rt::Interpreter interp(m);
+  EXPECT_EQ(interp.backend(), kernels::BackendKind::kFast);
+  int convs = 0;
+  for (size_t i = 0; i < m.ops.size(); ++i) {
+    if (m.ops[i].type != rt::OpType::kConv2D) continue;
+    ++convs;
+    EXPECT_EQ(interp.op_backend(i), kernels::BackendKind::kFast) << "op " << i;
+  }
+  EXPECT_GT(convs, 0);
+#if !defined(MN_OBS_DISABLED)
+  obs::set_tracing(true);
+  EXPECT_EQ(obs::trace_capacity(), 16384u);
+  obs::set_tracing(false);
+#endif
+  ::unsetenv("MN_BACKEND");
+  ::unsetenv("MN_COMPILE");
+  ::unsetenv("MN_OBS_RING");
 }
 
 // --- hardened im2col validation ---------------------------------------------

@@ -1,11 +1,10 @@
 // Graph compiler pass pipeline (src/compile/, DESIGN.md §15): per-pass
 // golden graphs, the randomized differential bit-identity harness at
 // MN_THREADS 1/2/8, idempotence (compile(compile(m)) == compile(m)),
-// MN_COMPILE env resolution, serve/rollout wiring, and the fusion-metadata
-// contract. Run standalone with: ctest -L compile (or `check-compile`).
+// serve/rollout wiring, and the fusion-metadata contract. Run standalone
+// with: ctest -L compile (or `check-compile`).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -177,28 +176,8 @@ CompileConfig only(bool CompileConfig::* pass) {
 }
 
 // ---------------------------------------------------------------------------
-// Env + config
+// Config
 // ---------------------------------------------------------------------------
-
-TEST(CompileEnv, ResolvesOnOffAndWarnsOnGarbage) {
-  const char* saved = std::getenv("MN_COMPILE");
-  const std::string saved_val = saved ? saved : "";
-  for (const char* on : {"on", "1", "true"}) {
-    ::setenv("MN_COMPILE", on, 1);
-    EXPECT_TRUE(compile_enabled_from_env()) << on;
-    EXPECT_TRUE(CompileConfig::from_env().enabled) << on;
-  }
-  for (const char* off : {"off", "0", "false"}) {
-    ::setenv("MN_COMPILE", off, 1);
-    EXPECT_FALSE(compile_enabled_from_env()) << off;
-  }
-  ::setenv("MN_COMPILE", "banana", 1);  // typo: warn once, stay off
-  EXPECT_FALSE(compile_enabled_from_env());
-  ::unsetenv("MN_COMPILE");
-  EXPECT_FALSE(compile_enabled_from_env());
-  if (saved)
-    ::setenv("MN_COMPILE", saved_val.c_str(), 1);
-}
 
 TEST(CompilePipeline, DisabledConfigIsGuaranteedNoOp) {
   ModelDef m = kws_model(1, /*fuse=*/false);
@@ -361,7 +340,8 @@ TEST(CompilePipeline, IdempotentAndDeterministic) {
 
 TEST(CompilePipeline, DifferentialSweepAtThreads128) {
   // The bit-identity contract on converter-built models, int8 and int4,
-  // naive and pre-fused, at MN_THREADS 1/2/8 on the env-selected backend.
+  // naive and pre-fused, at MN_THREADS 1/2/8: the compiled model on the
+  // fast backend against the uncompiled one on the reference kernels.
   for (const bool fuse : {false, true}) {
     const ModelDef ref = kws_model(6, fuse);
     const CompiledModel c = compile_model(ref, CompileConfig::all());

@@ -295,19 +295,6 @@ TEST_F(ObsTest, PostmortemCapturesTrailingEventsLatestWins) {
   EXPECT_EQ(obs::postmortem_latest().events.size(), 1u);
 }
 
-TEST_F(ObsTest, MnObsRingEnvOverridesRingDefault) {
-  ASSERT_EQ(unsetenv("MN_OBS_RING"), 0);
-  EXPECT_EQ(obs::ring_capacity_from_env(4096), 4096u);
-  ASSERT_EQ(setenv("MN_OBS_RING", "128", 1), 0);
-  EXPECT_EQ(obs::ring_capacity_from_env(4096), 128u);
-  // Unparseable values warn once on stderr and keep the fallback.
-  ASSERT_EQ(setenv("MN_OBS_RING", "lots", 1), 0);
-  EXPECT_EQ(obs::ring_capacity_from_env(4096), 4096u);
-  ASSERT_EQ(setenv("MN_OBS_RING", "-5", 1), 0);
-  EXPECT_EQ(obs::ring_capacity_from_env(4096), 4096u);
-  ASSERT_EQ(unsetenv("MN_OBS_RING"), 0);
-}
-
 TEST_F(ObsTest, EventLogJsonRendersStreamAndPostmortem) {
   obs::event_reserve(64);
   obs::event_emit(lifecycle_event(obs::EventKind::kAdmit, 1, 10));
@@ -374,7 +361,6 @@ TEST_F(ObsTest, DisabledBuildEventLogIsNoOp) {
   obs::event_postmortem("ignored", 1);
   EXPECT_EQ(obs::postmortem_count(), 0);
   EXPECT_EQ(obs::postmortem_latest().reason, nullptr);
-  EXPECT_EQ(obs::ring_capacity_from_env(2048), 2048u);
   // The name table stays linked in every configuration.
   EXPECT_STREQ(obs::event_kind_name(obs::EventKind::kWatchdogStall),
                "watchdog_stall");
