@@ -1,14 +1,17 @@
 // bench_kernels_micro: backend A/B microbenchmark of the integer kernels.
 //
-// For each fig2-class conv shape (DS-CNN / MobileNetV2-style layers) and the
-// classifier FC shapes, the bench times the reference path (what a reference
-// interpreter actually dispatches: conv2d_s8_im2col / fully_connected_s8)
-// against the fast backend (packed panels + cache-blocked SIMD GEMM,
-// kernels_fast.cpp), verifies the two outputs byte-for-byte, and reports
+// For each fig2-class conv shape (DS-CNN / MobileNetV2-style layers), two
+// depthwise shapes and the classifier FC shapes, the bench times the
+// reference path (what a reference interpreter actually dispatches:
+// conv2d_s8_im2col / depthwise_conv2d_s8 / fully_connected_s8) against the
+// fast backend (kernels_fast.cpp), verifies the two outputs byte-for-byte,
+// and reports
 //
 //   <shape>_reference_us_p50 / <shape>_fast_us_p50   median per-call latency
 //   <shape>_backend_speedup                           reference / fast ratio
 //   conv_backend_speedup_min                          worst gated-shape ratio
+//   dw_<shape>_...                                    the same, depthwise
+//   dw_backend_speedup_min                            worst depthwise ratio
 //   ab_mismatch_count                                 bytes that differed (0)
 //
 // The regression gate (tools/mn_regress) holds every *_backend_speedup
@@ -172,6 +175,55 @@ int main(int argc, char** argv) {
   }
   report.metric("conv_backend_speedup_min", min_conv_speedup);
 
+  // Depthwise shapes: KWS-M's body depthwise (3x3 s1 over 25x5x144) and a
+  // MobileNetV2-style stride-2 downsampling depthwise from the VWW models.
+  const std::vector<ConvCase> dw_cases = {
+      {"kws_m_25x5x144", geom(25, 5, 144, 144, 3, 3, 1, 1, 1)},
+      {"vww_s2_20x20x96", geom(20, 20, 96, 96, 3, 3, 2, 1, 1)},
+  };
+  double min_dw_speedup = 1e30;
+
+  report.phase("dw_ab");
+  for (const ConvCase& c : dw_cases) {
+    const kernels::ConvGeometry& g = c.g;
+    Rng rng(opt.seed + 2);
+    TensorI8 x(Shape{g.in_h, g.in_w, g.in_ch});
+    TensorI8 w(Shape{g.kh, g.kw, g.in_ch});
+    TensorI8 y_ref(Shape{g.out_h, g.out_w, g.out_ch});
+    TensorI8 y_fast(Shape{g.out_h, g.out_w, g.out_ch});
+    fill_s8(x, rng);
+    fill_s8(w, rng);
+    std::vector<int32_t> bias(static_cast<size_t>(g.out_ch));
+    for (auto& b : bias) b = static_cast<int32_t>(rng.uniform_int(-4096, 4096));
+    const kernels::RequantParams rq = default_rq();
+    const kernels::PackedOpWeights packed =
+        kernels::pack_rows_s8(w.span(), int64_t{g.kh} * g.kw, g.in_ch);
+
+    kernels::depthwise_conv2d_s8(x.span(), w.span(), bias, y_ref.span(), g, rq);
+    kernels::depthwise_conv2d_s8_fast(x.span(), packed, bias, y_fast.span(), g,
+                                      rq);
+    for (int64_t i = 0; i < y_ref.size(); ++i)
+      if (y_ref[i] != y_fast[i]) ++mismatches;
+
+    const double ref_us = median_us_per_call(reps, iters, [&] {
+      kernels::depthwise_conv2d_s8(x.span(), w.span(), bias, y_ref.span(), g,
+                                   rq);
+    });
+    const double fast_us = median_us_per_call(reps, iters, [&] {
+      kernels::depthwise_conv2d_s8_fast(x.span(), packed, bias, y_fast.span(),
+                                        g, rq);
+    });
+    const double speedup = ref_us / fast_us;
+    min_dw_speedup = std::min(min_dw_speedup, speedup);
+    std::printf("  %-22s ref %8.2f us  fast %8.2f us  speedup %5.2fx\n",
+                c.name, ref_us, fast_us, speedup);
+    const std::string key = std::string("dw_") + c.name;
+    report.metric(key + "_reference_us_p50", ref_us);
+    report.metric(key + "_fast_us_p50", fast_us);
+    report.metric(key + "_backend_speedup", speedup);
+  }
+  report.metric("dw_backend_speedup_min", min_dw_speedup);
+
   report.phase("fc_ab");
   {
     const int32_t in_f = 1024, out_f = 128;
@@ -209,8 +261,10 @@ int main(int argc, char** argv) {
 
   report.metric("ab_mismatch_count", static_cast<double>(mismatches));
   report.metric("conv_shapes_count", static_cast<double>(conv_cases.size()));
-  std::printf("  min conv speedup %.2fx, mismatched bytes %lld\n",
-              min_conv_speedup, static_cast<long long>(mismatches));
+  std::printf("  min conv speedup %.2fx, min dw speedup %.2fx, "
+              "mismatched bytes %lld\n",
+              min_conv_speedup, min_dw_speedup,
+              static_cast<long long>(mismatches));
 
   parallel::set_threads(0);
   report.finish();

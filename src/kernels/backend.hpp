@@ -15,8 +15,11 @@
 //     pixel, SSE2 pmaddwd inner dot products on x86-64 (exact integer
 //     arithmetic — never a source of divergence) with a scalar fallback
 //     elsewhere, and requant→activation-clamp fused into the store exactly
-//     like the reference kernels. Claims int8 conv2d and fully-connected;
-//     depthwise/pool/add/softmax and all int4 ops fall back.
+//     like the reference kernels. Depthwise conv runs channel-vectorised
+//     over per-tap weight rows (SSE2 over 8 channels, exact int16 products,
+//     taps clamped once per output pixel). Claims int8 conv2d, depthwise and
+//     fully-connected with const weights and an int8 input zero point;
+//     pool/add/softmax and all int4 ops fall back.
 //
 // The contract that makes a second backend safe at all: for every geometry
 // and every MN_THREADS, a claimed op's output is BYTE-IDENTICAL to the
@@ -64,7 +67,9 @@ inline constexpr int64_t kPackAlign = 16;
 // 16-byte-aligned stride with a zero tail, plus the per-row weight sums that
 // fold the input zero point out of the inner loop:
 //   sum((x - zp) * w) == sum(x * w) - zp * sum(w)
-// (exact in integer arithmetic, so bit-exactness is preserved).
+// (exact in integer arithmetic, so bit-exactness is preserved). Depthwise
+// weights use the same layout with one row per kernel tap; the depthwise
+// kernel subtracts the zero point per tap and leaves sum_w unused.
 struct PackedOpWeights {
   std::vector<int8_t> rows;    // [num_rows][row_stride], tails zeroed
   std::vector<int32_t> sum_w;  // per-row sum of weights
@@ -78,7 +83,8 @@ struct PackedOpWeights {
 };
 
 // Packs `num_rows` x `row_len` row-major int8 weights (conv: rows = out_ch,
-// row_len = kh*kw*in_ch; FC: rows = out_features, row_len = in_features).
+// row_len = kh*kw*in_ch; depthwise: rows = kh*kw taps, row_len = ch;
+// FC: rows = out_features, row_len = in_features).
 PackedOpWeights pack_rows_s8(std::span<const int8_t> weights, int64_t num_rows,
                              int64_t row_len);
 
@@ -100,6 +106,16 @@ void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed
                     std::span<const int32_t> bias, std::span<int8_t> output,
                     std::span<int8_t> scratch, const ConvGeometry& g,
                     const RequantParams& rq);
+
+// Depthwise conv2d (multiplier 1), bit-identical to depthwise_conv2d_s8.
+// `packed` must come from pack_rows_s8(weights, kh*kw, ch) and
+// rq.input_zp must lie in [-128, 127]. Needs no scratch; row-parallel with
+// the reference kernel's chunking.
+void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
+                              const PackedOpWeights& packed,
+                              std::span<const int32_t> bias,
+                              std::span<int8_t> output, const ConvGeometry& g,
+                              const RequantParams& rq);
 
 // Fully connected on a packed panel, bit-identical to fully_connected_s8.
 void fully_connected_s8_fast(std::span<const int8_t> input,

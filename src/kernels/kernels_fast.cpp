@@ -1,8 +1,9 @@
 // Fast-backend kernels: cache-blocked im2col-GEMM over weight panels packed
-// at model-load time (see backend.hpp for the layout and the bit-exactness
+// at model-load time, and a channel-vectorised depthwise conv over per-tap
+// weight rows (see backend.hpp for the layout and the bit-exactness
 // contract).
 //
-// Three ingredients, each exact in integer arithmetic:
+// Three GEMM ingredients, each exact in integer arithmetic:
 //   1. Zero-point folding. The reference inner loop computes
 //      sum((x - zp) * w); the packed panel carries sum(w) per row, so the
 //      loop runs the plain dot sum(x * w) and the initializer absorbs
@@ -160,6 +161,107 @@ void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed
                 init + dot_s8(block + int64_t{p} * row_stride, wr, row_stride);
             out_base[int64_t{p} * g.out_ch + oc] = requant_store(acc, rq, oc);
           }
+        }
+      }
+    }
+  });
+}
+
+void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
+                              const PackedOpWeights& packed,
+                              std::span<const int32_t> bias,
+                              std::span<int8_t> output, const ConvGeometry& g,
+                              const RequantParams& rq) {
+  const int32_t ch = g.in_ch;
+  if (g.out_ch != ch)
+    throw std::invalid_argument("depthwise_conv2d_s8_fast: in_ch != out_ch");
+  if (packed.num_rows != int64_t{g.kh} * g.kw || packed.row_len != ch)
+    throw std::invalid_argument(
+        "depthwise_conv2d_s8_fast: packed panel/geometry mismatch");
+  if (static_cast<int64_t>(input.size()) < g.input_elements() ||
+      static_cast<int64_t>(output.size()) < g.output_elements())
+    throw std::invalid_argument("depthwise_conv2d_s8_fast: buffer too small");
+  // x - zp must fit an int16 lane: |x - zp| <= 255 only for an int8 zp.
+  if (rq.input_zp < -128 || rq.input_zp > 127)
+    throw std::invalid_argument(
+        "depthwise_conv2d_s8_fast: input zero point outside int8");
+  obs::counter_add(obs::Counter::kKernelMacs, g.macs(/*depthwise=*/true));
+  obs::counter_add(obs::Counter::kKernelBytesRead,
+                   g.input_elements() + int64_t{g.kh} * g.kw * ch);
+  obs::counter_add(obs::Counter::kKernelBytesWritten, g.output_elements());
+  const int64_t row_stride = packed.row_stride;
+  const int8_t* x = input.data();
+  const int8_t* w = packed.rows.data();
+#if defined(__SSE2__)
+  const int32_t simd_ch = ch / 8 * 8;
+  const __m128i zp16 = _mm_set1_epi16(static_cast<int16_t>(rq.input_zp));
+#else
+  const int32_t simd_ch = 0;
+#endif
+  parallel::parallel_for(0, g.out_h, [&](int64_t oy_lo, int64_t oy_hi) {
+    for (int32_t oy = static_cast<int32_t>(oy_lo); oy < oy_hi; ++oy) {
+      const int32_t iy0 = oy * g.stride - g.pad_h;
+      const int32_t ky0 = std::max(0, -iy0);
+      const int32_t ky1 = std::min(g.kh, g.in_h - iy0);
+      for (int32_t ox = 0; ox < g.out_w; ++ox) {
+        // The taps that land inside the input, clamped once per pixel: the
+        // inner loops carry no bounds check, and a padded tap is skipped
+        // exactly as the reference skips it.
+        const int32_t ix0 = ox * g.stride - g.pad_w;
+        const int32_t kx0 = std::max(0, -ix0);
+        const int32_t kx1 = std::min(g.kw, g.in_w - ix0);
+        int8_t* out_px = output.data() + (int64_t{oy} * g.out_w + ox) * ch;
+        int32_t c = 0;
+#if defined(__SSE2__)
+        for (; c < simd_ch; c += 8) {
+          __m128i acc_lo = _mm_setzero_si128();
+          __m128i acc_hi = _mm_setzero_si128();
+          if (!bias.empty()) {
+            acc_lo = _mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(bias.data() + c));
+            acc_hi = _mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(bias.data() + c + 4));
+          }
+          for (int32_t ky = ky0; ky < ky1; ++ky) {
+            const int64_t x_row = (int64_t{iy0 + ky} * g.in_w + ix0) * ch + c;
+            const int64_t w_row = int64_t{ky} * g.kw * row_stride + c;
+            for (int32_t kx = kx0; kx < kx1; ++kx) {
+              // x_row alone may index before the input (left padding);
+              // with kx >= kx0 the sum never does.
+              const __m128i xv = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(
+                  x + (x_row + int64_t{kx} * ch)));
+              const __m128i wv = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(
+                  w + (w_row + kx * row_stride)));
+              // Sign-extend to int16; |x - zp| <= 255 and |w| <= 128, so
+              // pmullw's low half is the exact product (|p| <= 32640).
+              const __m128i x16 = _mm_sub_epi16(
+                  _mm_srai_epi16(_mm_unpacklo_epi8(xv, xv), 8), zp16);
+              const __m128i w16 = _mm_srai_epi16(_mm_unpacklo_epi8(wv, wv), 8);
+              const __m128i p = _mm_mullo_epi16(x16, w16);
+              acc_lo = _mm_add_epi32(
+                  acc_lo, _mm_srai_epi32(_mm_unpacklo_epi16(p, p), 16));
+              acc_hi = _mm_add_epi32(
+                  acc_hi, _mm_srai_epi32(_mm_unpackhi_epi16(p, p), 16));
+            }
+          }
+          alignas(16) int32_t acc[8];
+          _mm_store_si128(reinterpret_cast<__m128i*>(acc), acc_lo);
+          _mm_store_si128(reinterpret_cast<__m128i*>(acc + 4), acc_hi);
+          for (int32_t k = 0; k < 8; ++k)
+            out_px[c + k] = requant_store(acc[k], rq, c + k);
+        }
+#endif
+        for (; c < ch; ++c) {
+          int32_t acc = bias.empty() ? 0 : bias[static_cast<size_t>(c)];
+          for (int32_t ky = ky0; ky < ky1; ++ky) {
+            const int64_t x_row = (int64_t{iy0 + ky} * g.in_w + ix0) * ch + c;
+            const int64_t w_row = int64_t{ky} * g.kw * row_stride + c;
+            for (int32_t kx = kx0; kx < kx1; ++kx)
+              acc += (static_cast<int32_t>(x[x_row + int64_t{kx} * ch]) -
+                      rq.input_zp) *
+                     static_cast<int32_t>(w[w_row + kx * row_stride]);
+          }
+          out_px[c] = requant_store(acc, rq, c);
         }
       }
     }

@@ -16,16 +16,21 @@ namespace mn::rt {
 namespace {
 constexpr uint8_t kCanaryByte = 0xA5;
 
-// Claim predicate for the fast backend: int8 conv2d / fully-connected with a
-// constant int8 weight tensor (panels are packed once at load time, so
-// mutable weights cannot be claimed). Everything else falls back.
+// Claim predicate for the fast backend: int8 conv2d / depthwise /
+// fully-connected with a constant int8 weight tensor (panels are packed once
+// at load time, so mutable weights cannot be claimed) and an int8 input zero
+// point (the fast kernels assume one; a deserialized model is checked at
+// load, an in-memory ModelDef may not be). Everything else falls back.
 bool fast_claims(const ModelDef& m, const OpDef& op) {
-  if (op.type != OpType::kConv2D && op.type != OpType::kFullyConnected)
+  if (op.type != OpType::kConv2D && op.type != OpType::kDepthwiseConv2D &&
+      op.type != OpType::kFullyConnected)
     return false;
   const TensorDef& in = m.tensors[static_cast<size_t>(op.inputs[0])];
   const TensorDef& w = m.tensors[static_cast<size_t>(op.inputs[1])];
   const TensorDef& out = m.tensors[static_cast<size_t>(op.output)];
-  return in.bits == 8 && w.bits == 8 && out.bits == 8 && w.is_const;
+  if (op.type == OpType::kDepthwiseConv2D && w.shape.dim(0) != 1) return false;
+  return in.bits == 8 && w.bits == 8 && out.bits == 8 && w.is_const &&
+         w.elements() > 0 && in.qp.zero_point >= -128 && in.qp.zero_point <= 127;
 }
 
 }  // namespace
@@ -45,8 +50,10 @@ std::shared_ptr<const PackedModel> pack_model_weights(
                                         w.blob_offset),
         static_cast<size_t>(w.storage_bytes())};
     // Conv weights: [out_ch][kh][kw][in_ch]; FC weights: [out][in]. Both are
-    // row-major with one row per output channel/feature.
-    const int64_t rows = w.shape.dim(0);
+    // row-major with one row per output channel/feature. Depthwise weights
+    // [1][kh][kw][ch] pack one row per kernel tap.
+    const bool dw = op.type == OpType::kDepthwiseConv2D;
+    const int64_t rows = dw ? w.shape.dim(1) * w.shape.dim(2) : w.shape.dim(0);
     const int64_t row_len = w.elements() / rows;
     pm->per_op[i] = std::make_shared<const kernels::PackedOpWeights>(
         kernels::pack_rows_s8(w_bytes, rows, row_len));
@@ -326,7 +333,10 @@ void Interpreter::run_op(size_t i) {
       std::span<const int32_t> bias;
       if (op.inputs.size() > 2 && op.inputs[2] >= 0)
         bias = as_s32(tensor_bytes(op.inputs[2]));
-      if (bits == 8)
+      if (fast)
+        kernels::depthwise_conv2d_s8_fast(as_s8(in_b), *packed_->per_op[i],
+                                          bias, as_s8(out_b), p.conv, p.rq);
+      else if (bits == 8)
         kernels::depthwise_conv2d_s8(as_s8(in_b), as_s8(w_b), bias, as_s8(out_b),
                                      p.conv, p.rq);
       else

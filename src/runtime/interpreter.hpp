@@ -56,8 +56,9 @@ struct PackedModel {
   }
 };
 
-// Packs the weights of every op `config.kind` claims (fast: int8 conv2d and
-// fully-connected). Returns an empty-per_op PackedModel for kReference.
+// Packs the weights of every op `config.kind` claims (fast: int8 conv2d,
+// depthwise and fully-connected). Returns an empty-per_op PackedModel for
+// kReference.
 std::shared_ptr<const PackedModel> pack_model_weights(
     const ModelDef& model, kernels::BackendConfig config);
 

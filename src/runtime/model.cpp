@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 namespace mn::rt {
@@ -444,6 +446,42 @@ ModelDef ModelDef::load(const std::string& path) {
   return try_load(path).take_or_throw();
 }
 
+namespace {
+
+// Worst-case |int32 accumulator| of a conv / depthwise / FC op: every product
+// at its extreme, |x - zp| = 255 (int8 zero point) times |w| = 128, summed
+// over the fan-in, plus the largest |bias|. Past INT32_MAX the reference
+// kernels' accumulation is signed-overflow UB while the SIMD paths wrap.
+// Fan-in saturates at 2^31, far past any admissible op, so the product
+// cannot overflow int64 whatever the (in-memory) shape holds.
+int64_t worst_case_accumulator(const std::vector<TensorDef>& tensors,
+                               const std::vector<uint8_t>& blob,
+                               const OpDef& op) {
+  constexpr int64_t kFanInCap = int64_t{1} << 31;
+  const TensorDef& w = tensors[static_cast<size_t>(op.inputs[1])];
+  // Weights: conv [out][kh][kw][in], depthwise [1][kh][kw][ch], FC
+  // [out][in]; the fan-in is the product of the dims after the first
+  // (depthwise: kh*kw only).
+  const int last_dim = op.type == OpType::kDepthwiseConv2D ? 3 : w.shape.rank();
+  int64_t fan_in = 1;
+  for (int d = 1; d < last_dim; ++d)
+    fan_in = std::min(fan_in * std::min(w.shape.dim(d), kFanInCap), kFanInCap);
+  int64_t max_bias = 0;
+  if (op.inputs.size() > 2 && op.inputs[2] >= 0) {
+    const TensorDef& b = tensors[static_cast<size_t>(op.inputs[2])];
+    if (b.is_const && b.bits == 32) {
+      for (int64_t k = 0; k < b.elements(); ++k) {
+        int32_t v = 0;
+        std::memcpy(&v, blob.data() + b.blob_offset + 4 * k, 4);
+        max_bias = std::max(max_bias, std::abs(int64_t{v}));
+      }
+    }
+  }
+  return fan_in * 255 * 128 + max_bias;
+}
+
+}  // namespace
+
 std::optional<RtError> ModelDef::check() const {
   const int nt = static_cast<int>(tensors.size());
   auto bad_id = [&](int id) { return id < 0 || id >= nt; };
@@ -461,6 +499,13 @@ std::optional<RtError> ModelDef::check() const {
       if (!std::isfinite(s))
         return RtError{ErrorCode::kGraphInvalid,
                        "ModelDef: non-finite channel scale on " + t.name};
+    // Kernels subtract the zero point in int16 lanes and pad with it as a
+    // byte; an int8 (or int4) tensor's zero point must itself be int8.
+    if ((t.bits == 4 || t.bits == 8) &&
+        (t.qp.zero_point < -128 || t.qp.zero_point > 127))
+      return RtError{ErrorCode::kGraphInvalid,
+                     "ModelDef: zero point " + std::to_string(t.qp.zero_point) +
+                         " outside [-128, 127] on " + t.name};
     if (t.is_const) {
       if (t.blob_offset < 0 ||
           t.blob_offset + t.storage_bytes() > static_cast<int64_t>(weights_blob.size()))
@@ -508,6 +553,14 @@ std::optional<RtError> ModelDef::check() const {
                        std::string("ModelDef: ") + op_type_name(op.type) +
                            " weights must be rank-" + std::to_string(want_rank) +
                            ", got " + w.shape.to_string()};
+      const int64_t worst = worst_case_accumulator(tensors, weights_blob, op);
+      if (worst > std::numeric_limits<int32_t>::max())
+        return RtError{ErrorCode::kGraphInvalid,
+                       std::string("ModelDef: ") + op_type_name(op.type) +
+                           " writing " +
+                           tensors[static_cast<size_t>(op.output)].name +
+                           " can overflow its int32 accumulator (worst case " +
+                           std::to_string(worst) + ")"};
     } else if (op.inputs.empty() || op.inputs[0] < 0) {
       return RtError{ErrorCode::kGraphInvalid,
                      std::string("ModelDef: ") + op_type_name(op.type) +

@@ -232,21 +232,53 @@ TEST(BackendDifferential, FullyConnectedSweep) {
   }
 }
 
-// The fast backend does not claim depthwise — but the differential suite
-// still sweeps it so a future depthwise fast kernel inherits the harness,
-// and because the interpreter-level test relies on depthwise staying
-// reference-served (the fallback half of the claim-or-fall-back contract).
-TEST(BackendDifferential, DepthwiseStaysSelfConsistent) {
-  Rng rng(77);
-  const auto g = make_geom(9, 7, 12, 12, 3, 3, 2, 1, 2);
-  const auto rq = random_rq(rng, g.in_ch, true);
-  const auto x = random_s8(rng, g.input_elements());
-  const auto w = random_s8(rng, int64_t{g.kh} * g.kw * g.in_ch);
-  std::vector<int8_t> y1(static_cast<size_t>(g.output_elements()));
-  std::vector<int8_t> y2(y1.size());
-  kernels::depthwise_conv2d_s8(x, w, {}, y1, g, rq);
-  kernels::depthwise_conv2d_s8(x, w, {}, y2, g, rq);
-  EXPECT_EQ(y1, y2);
+// >= 500 seeded depthwise geometries: stride 1-3, pad 0-3, kernels 1-5,
+// channel counts on both sides of the 8-lane SIMD width, the full int8
+// range of input zero points (|x - zp| reaches 255, the int16 lane's
+// limit), per-tensor and per-channel requant, bias or none, and random
+// activation clamps. The fast kernel must match the reference on every byte.
+TEST(BackendDifferential, FastDepthwiseMatchesReference) {
+  Rng meta(20261017);
+  int checked = 0;
+  while (checked < 500) {
+    const auto in_h = static_cast<int32_t>(meta.uniform_int(1, 12));
+    const auto in_w = static_cast<int32_t>(meta.uniform_int(1, 12));
+    const auto ch = static_cast<int32_t>(meta.uniform_int(1, 40));
+    const auto dw = make_geom(in_h, in_w, ch, ch,
+                              static_cast<int32_t>(meta.uniform_int(1, 5)),
+                              static_cast<int32_t>(meta.uniform_int(1, 5)),
+                              static_cast<int32_t>(meta.uniform_int(1, 3)),
+                              static_cast<int32_t>(meta.uniform_int(0, 3)),
+                              static_cast<int32_t>(meta.uniform_int(0, 3)));
+    if (dw.kh > dw.in_h + 2 * dw.pad_h || dw.kw > dw.in_w + 2 * dw.pad_w)
+      continue;
+    SCOPED_TRACE(testing::Message()
+                 << "case " << checked << ": in " << dw.in_h << "x" << dw.in_w
+                 << "x" << dw.in_ch << " k " << dw.kh << "x" << dw.kw
+                 << " stride " << dw.stride << " pad " << dw.pad_h << "/"
+                 << dw.pad_w);
+    Rng rng(static_cast<uint64_t>(5000 + checked));
+    kernels::RequantParams rq = random_rq(rng, dw.in_ch, checked % 2 == 0);
+    rq.input_zp = static_cast<int32_t>(rng.uniform_int(-128, 127));
+    const int32_t lo = static_cast<int32_t>(rng.uniform_int(-128, 127));
+    const int32_t hi = static_cast<int32_t>(rng.uniform_int(-128, 127));
+    rq.act_min = std::min(lo, hi);
+    rq.act_max = std::max(lo, hi);
+    std::vector<int8_t> x(static_cast<size_t>(dw.input_elements()));
+    for (auto& v : x) v = static_cast<int8_t>(rng.uniform_int(-128, 127));
+    std::vector<int8_t> w(static_cast<size_t>(int64_t{dw.kh} * dw.kw * dw.in_ch));
+    for (auto& v : w) v = static_cast<int8_t>(rng.uniform_int(-128, 127));
+    std::vector<int32_t> bias;
+    if (checked % 3 != 0) bias = random_bias(rng, dw.in_ch);
+    std::vector<int8_t> y_ref(static_cast<size_t>(dw.output_elements()));
+    std::vector<int8_t> y_fast(y_ref.size());
+    kernels::depthwise_conv2d_s8(x, w, bias, y_ref, dw, rq);
+    const auto packed =
+        kernels::pack_rows_s8(w, int64_t{dw.kh} * dw.kw, dw.in_ch);
+    kernels::depthwise_conv2d_s8_fast(x, packed, bias, y_fast, dw, rq);
+    ASSERT_EQ(y_fast, y_ref) << "fast depthwise diverged from reference";
+    ++checked;
+  }
 }
 
 // --- asymmetric-padding golden vector ---------------------------------------
@@ -378,6 +410,28 @@ TEST(BackendThreads, FastConvBitIdenticalAcrossThreadCounts) {
   parallel::set_threads(0);
 }
 
+TEST(BackendThreads, FastDepthwiseBitIdenticalAcrossThreadCounts) {
+  const auto g = make_geom(25, 5, 36, 36, 3, 3, 1, 1, 1);
+  Rng rng(56);
+  const auto rq = random_rq(rng, g.out_ch, true);
+  const auto x = random_s8(rng, g.input_elements());
+  const auto w = random_s8(rng, int64_t{g.kh} * g.kw * g.in_ch);
+  const auto bias = random_bias(rng, g.out_ch);
+  const auto packed = kernels::pack_rows_s8(w, int64_t{g.kh} * g.kw, g.in_ch);
+  std::vector<int8_t> baseline;
+  for (const int threads : {1, 2, 8}) {
+    parallel::set_threads(threads);
+    std::vector<int8_t> y(static_cast<size_t>(g.output_elements()));
+    kernels::depthwise_conv2d_s8_fast(x, packed, bias, y, g, rq);
+    if (baseline.empty())
+      baseline = y;
+    else
+      EXPECT_EQ(y, baseline) << "fast depthwise output moved at " << threads
+                             << " threads";
+  }
+  parallel::set_threads(0);
+}
+
 // --- interpreter integration -------------------------------------------------
 
 namespace {
@@ -423,7 +477,7 @@ TEST(BackendInterpreter, FastInvokeIsByteIdenticalToReference) {
   rt::Interpreter fast(m, plan, kernels::BackendConfig::fast());
   EXPECT_EQ(ref.backend(), kernels::BackendKind::kReference);
   EXPECT_EQ(fast.backend(), kernels::BackendKind::kFast);
-  // Claim-or-fall-back: the DS-CNN has conv + FC (claimed) and depthwise /
+  // Claim-or-fall-back: the DS-CNN has conv + depthwise + FC (claimed) and
   // pool / softmax (reference fallback) — both kinds must appear.
   int fast_ops = 0, ref_ops = 0;
   for (size_t i = 0; i < m.ops.size(); ++i)
@@ -472,6 +526,7 @@ TEST(BackendInterpreter, DispatchCountersAndProfileReportBackend) {
   const int64_t ref_ops =
       obs::counter_value(obs::Counter::kBackendReferenceOps);
 #if !defined(MN_OBS_DISABLED)
+  // Conv, depthwise and FC count as fast; pool and softmax as reference.
   EXPECT_GT(fast_ops, 0);
   EXPECT_GT(ref_ops, 0);
   EXPECT_EQ(fast_ops + ref_ops, static_cast<int64_t>(m.ops.size()));
@@ -500,6 +555,7 @@ TEST(BackendInterpreter, SharedPackedModelIsReusedAndValidated) {
   EXPECT_EQ(packed->kind, kernels::BackendKind::kFast);
   EXPECT_EQ(packed->per_op.size(), m.ops.size());
   EXPECT_GT(packed->bytes(), 0);
+  // Pool and softmax carry no panel; conv, depthwise and FC do.
   bool any_claimed = false, any_fallback = false;
   for (const auto& p : packed->per_op) (p ? any_claimed : any_fallback) = true;
   EXPECT_TRUE(any_claimed);
@@ -523,43 +579,50 @@ TEST(BackendInterpreter, SharedPackedModelIsReusedAndValidated) {
       std::runtime_error);
 }
 
-// A flip in a fast-claimed conv's weights that the CRC does not catch
-// (per-invoke verification off, the default) must reach compute: the fast
-// output follows the flipped bytes exactly as the reference output does.
+// A flip in a fast-claimed conv's or depthwise op's weights that the CRC
+// does not catch (per-invoke verification off, the default) must reach
+// compute: the fast output follows the flipped bytes exactly as the
+// reference output does.
 TEST(BackendInterpreter, UndetectedWeightFlipReachesFastCompute) {
   const rt::ModelDef m = tiny_model(7);
   const rt::MemoryPlan plan = rt::plan_memory(m);
-  const auto packed = rt::pack_model_weights(m, kernels::BackendConfig::fast());
-  rt::Interpreter ref(m, plan, kernels::BackendConfig::reference());
-  rt::Interpreter fast(m, plan, kernels::BackendConfig::fast(), packed);
-  rt::Interpreter guarded(m, plan, kernels::BackendConfig::fast(), packed);
-  guarded.set_verify_weights_each_invoke(true);
-  size_t conv = m.ops.size();
-  for (size_t i = 0; i < m.ops.size() && conv == m.ops.size(); ++i)
-    if (m.ops[i].type == rt::OpType::kConv2D &&
-        fast.op_backend(i) == kernels::BackendKind::kFast)
-      conv = i;
-  ASSERT_LT(conv, m.ops.size());
-  const rt::TensorDef& w =
-      m.tensors[static_cast<size_t>(m.ops[conv].inputs[1])];
-  const TensorI8 in = random_input(m, 77);
-  const TensorI8 clean = fast.invoke_quantized(in);
-  for (rt::Interpreter* interp : {&ref, &fast, &guarded}) {
-    std::span<uint8_t> blob = interp->mutable_weights();
-    for (int64_t k = 0; k < w.storage_bytes(); ++k)
-      blob[static_cast<size_t>(w.blob_offset + k)] ^= 0x40;
+  for (const rt::OpType type :
+       {rt::OpType::kConv2D, rt::OpType::kDepthwiseConv2D}) {
+    SCOPED_TRACE(rt::op_type_name(type));
+    const auto packed =
+        rt::pack_model_weights(m, kernels::BackendConfig::fast());
+    rt::Interpreter ref(m, plan, kernels::BackendConfig::reference());
+    rt::Interpreter fast(m, plan, kernels::BackendConfig::fast(), packed);
+    rt::Interpreter guarded(m, plan, kernels::BackendConfig::fast(), packed);
+    guarded.set_verify_weights_each_invoke(true);
+    size_t op = m.ops.size();
+    for (size_t i = 0; i < m.ops.size() && op == m.ops.size(); ++i)
+      if (m.ops[i].type == type &&
+          fast.op_backend(i) == kernels::BackendKind::kFast)
+        op = i;
+    ASSERT_LT(op, m.ops.size());
+    const rt::TensorDef& w =
+        m.tensors[static_cast<size_t>(m.ops[op].inputs[1])];
+    const TensorI8 in = random_input(m, 77);
+    const TensorI8 clean = fast.invoke_quantized(in);
+    for (rt::Interpreter* interp : {&ref, &fast, &guarded}) {
+      std::span<uint8_t> blob = interp->mutable_weights();
+      for (int64_t k = 0; k < w.storage_bytes(); ++k)
+        blob[static_cast<size_t>(w.blob_offset + k)] ^= 0x40;
+    }
+    const TensorI8 out_ref = ref.invoke_quantized(in);
+    const TensorI8 out_fast = fast.invoke_quantized(in);
+    EXPECT_TRUE(out_fast == out_ref)
+        << "fast output ignored the flipped weights";
+    EXPECT_FALSE(out_fast == clean) << "the flip did not change the output";
+    EXPECT_NE(fast.packed_model().get(), packed.get());
+    // A flip the CRC catches fails the invoke before any repack, so the
+    // replica keeps aliasing the shared panels.
+    const auto caught = guarded.try_invoke_quantized(in);
+    ASSERT_FALSE(caught.ok());
+    EXPECT_EQ(caught.error().code, rt::ErrorCode::kCrcMismatch);
+    EXPECT_EQ(guarded.packed_model().get(), packed.get());
   }
-  const TensorI8 out_ref = ref.invoke_quantized(in);
-  const TensorI8 out_fast = fast.invoke_quantized(in);
-  EXPECT_TRUE(out_fast == out_ref) << "fast output ignored the flipped weights";
-  EXPECT_FALSE(out_fast == clean) << "the flip did not change the output";
-  EXPECT_NE(fast.packed_model().get(), packed.get());
-  // A flip the CRC catches fails the invoke before any repack, so the
-  // replica keeps aliasing the shared panels.
-  const auto caught = guarded.try_invoke_quantized(in);
-  ASSERT_FALSE(caught.ok());
-  EXPECT_EQ(caught.error().code, rt::ErrorCode::kCrcMismatch);
-  EXPECT_EQ(guarded.packed_model().get(), packed.get());
 }
 
 // The shipped configuration is fixed in code: MN_BACKEND, MN_COMPILE and

@@ -10,6 +10,7 @@
 
 #include "models/backbones.hpp"
 #include "runtime/converter.hpp"
+#include "runtime/interpreter.hpp"
 #include "runtime/model.hpp"
 #include "tensor/rng.hpp"
 
@@ -225,6 +226,106 @@ TEST(FuzzModel, StructuralSeedsForHardenedCheck) {
     const auto r = ModelDef::try_deserialize(m.serialize());
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.code(), ErrorCode::kBadOpType);
+  }
+}
+
+TEST(FuzzModel, OutOfRangeZeroPointIsGraphInvalid) {
+  const ModelDef base = tiny_model(6);
+  const size_t in = static_cast<size_t>(base.input_tensor);
+  ASSERT_EQ(base.tensors[in].bits, 8);
+  ASSERT_EQ(base.ops[0].inputs[0], base.input_tensor);
+  ASSERT_NE(pack_model_weights(base, kernels::BackendConfig::fast())->per_op[0],
+            nullptr);
+  for (const int32_t zp : {128, -129, 1 << 20}) {
+    SCOPED_TRACE(zp);
+    ModelDef m = base;
+    m.tensors[in].qp.zero_point = zp;
+    const auto r = ModelDef::try_deserialize(m.serialize());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.code(), ErrorCode::kGraphInvalid);
+    EXPECT_NE(r.error().message.find("zero point"), std::string::npos);
+    const auto direct = m.check();
+    ASSERT_TRUE(direct.has_value());
+    EXPECT_EQ(direct->code, ErrorCode::kGraphInvalid);
+    // An unvalidated in-memory model gets no fast panel for the op reading
+    // that tensor: it would run on the reference kernel, not in an int16
+    // lane the zero point overflows.
+    EXPECT_EQ(pack_model_weights(m, kernels::BackendConfig::fast())->per_op[0],
+              nullptr);
+  }
+  for (const int32_t zp : {-128, 127}) {
+    ModelDef m = base;
+    m.tensors[in].qp.zero_point = zp;
+    EXPECT_TRUE(ModelDef::try_deserialize(m.serialize()).ok()) << zp;
+  }
+}
+
+namespace {
+
+// One int8 FC op over `fan_in` inputs with a single output and a one-entry
+// bias, built by hand so the test sets the worst-case accumulator exactly:
+// fan_in * 255 * 128 + |bias|.
+ModelDef fc_model(int32_t fan_in, int32_t bias) {
+  ModelDef m;
+  m.name = "acc_bound";
+  TensorDef x;
+  x.name = "x";
+  x.shape = Shape{fan_in};
+  TensorDef w;
+  w.name = "w";
+  w.shape = Shape{1, fan_in};
+  w.is_const = true;
+  w.blob_offset = 0;
+  TensorDef b;
+  b.name = "b";
+  b.shape = Shape{1};
+  b.bits = 32;
+  b.is_const = true;
+  b.blob_offset = fan_in;
+  TensorDef y;
+  y.name = "y";
+  y.shape = Shape{1};
+  m.tensors = {x, w, b, y};
+  m.weights_blob.assign(static_cast<size_t>(fan_in) + 4, 1);
+  std::memcpy(m.weights_blob.data() + fan_in, &bias, 4);
+  OpDef fc;
+  fc.type = OpType::kFullyConnected;
+  fc.inputs = {0, 1, 2};
+  fc.output = 3;
+  m.ops = {fc};
+  m.input_tensor = 0;
+  m.output_tensor = 3;
+  return m;
+}
+
+}  // namespace
+
+TEST(FuzzModel, AccumulatorOverflowIsGraphInvalid) {
+  // 65793 * 255 * 128 = INT32_MAX - 127: fan-in 65793 fits with a bias up
+  // to 127 in magnitude, 65794 does not fit at all.
+  const struct {
+    int32_t fan_in, bias;
+    bool loads;
+  } cases[] = {
+      {65793, 0, true},
+      {65793, -127, true},
+      {65794, 0, false},
+      {65793, 128, false},
+      {65793, -128, false},
+      {1, -2147483647, false},
+      {1, 2147450000, true},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << "fan_in " << c.fan_in << " bias "
+                                    << c.bias);
+    const ModelDef m = fc_model(c.fan_in, c.bias);
+    const auto r = ModelDef::try_deserialize(m.serialize());
+    EXPECT_EQ(r.ok(), c.loads);
+    EXPECT_EQ(!m.check().has_value(), c.loads);
+    if (!c.loads) {
+      EXPECT_EQ(r.code(), ErrorCode::kGraphInvalid);
+      EXPECT_NE(r.error().message.find("accumulator"), std::string::npos);
+    }
   }
 }
 

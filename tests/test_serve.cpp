@@ -388,9 +388,9 @@ TEST(ServeThreadInvariance, ShedServedCountsAndFingerprintAreBitIdentical) {
 namespace {
 
 // Same chaos workload as chaos_run(), but with every variant built on the
-// given kernel backend. The backend only changes how conv/FC ops execute;
-// outputs are bit-identical, so scheduling, quarantine decisions, and the
-// completion-order fingerprint must not move at all.
+// given kernel backend. The backend only changes how conv, depthwise and
+// FC ops execute; outputs are bit-identical, so scheduling, quarantine
+// decisions, and the completion-order fingerprint must not move at all.
 ChaosRunResult chaos_run_on(kernels::BackendConfig backend) {
   serve::EngineConfig cfg;
   cfg.canary_period_ticks = 8;
