@@ -15,7 +15,7 @@
 //   ab_mismatch_count                                 bytes that differed (0)
 //
 // The regression gate (tools/mn_regress) holds every *_backend_speedup
-// metric to an ABSOLUTE floor (default 2.0, --speedup-floor): the fast
+// metric to an ABSOLUTE floor (RegressConfig::speedup_floor, 2.0): the fast
 // backend must earn >=2x on the machine the gate runs on, not merely match a
 // committed baseline. ab_mismatch_count is an exact-match metric — one
 // differing byte fails CI. Timings run single-threaded (parallel::

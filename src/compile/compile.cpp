@@ -274,8 +274,7 @@ bool is_unit_dw(const ModelDef& m, const OpDef& op) {
 // B(v) == clamp(v, new) for every v the old A could emit (proven
 // exhaustively by the LUT), the rewrite is bit-exact for every accumulator
 // value — no assumption about requant rounding is needed anywhere.
-bool pass_fold_elementwise(ModelDef& m, bool affine, PassStats& stats,
-                           std::vector<FusedActivation>* fused) {
+bool pass_fold_elementwise(ModelDef& m, bool affine, PassStats& stats) {
   bool changed = false;
   for (bool progress = true; progress;) {
     progress = false;
@@ -352,8 +351,6 @@ bool pass_fold_elementwise(ModelDef& m, bool affine, PassStats& stats,
       // Rewrite: A absorbs the clamp and writes B's output directly.
       a.act = *chosen;
       a.output = out_id;
-      if (fused != nullptr)
-        fused->push_back(FusedActivation{-1, *chosen, out_t.name});
       m.ops.erase(m.ops.begin() + static_cast<int>(bi));
       // The intermediate tensor is now completely unreferenced; drop it so
       // the graph stays plannable even when DCE is disabled. (B's weight /
@@ -684,11 +681,9 @@ CompileReport Pipeline::run(rt::ModelDef& model) const {
     bool changed = false;
     if (cfg_.fold_constants) changed |= pass_fold_constants(model, s_const);
     if (cfg_.fold_affine)
-      changed |= pass_fold_elementwise(model, /*affine=*/true, s_affine,
-                                       nullptr);
+      changed |= pass_fold_elementwise(model, /*affine=*/true, s_affine);
     if (cfg_.fuse_activations)
-      changed |= pass_fold_elementwise(model, /*affine=*/false, s_act,
-                                       &report.fused_activations);
+      changed |= pass_fold_elementwise(model, /*affine=*/false, s_act);
     if (cfg_.eliminate_dead) changed |= pass_eliminate_dead(model, s_dce);
     if (!changed) break;
   }
@@ -699,20 +694,6 @@ CompileReport Pipeline::run(rt::ModelDef& model) const {
   if (cfg_.fuse_activations) report.passes.push_back(s_act);
   if (cfg_.eliminate_dead) report.passes.push_back(s_dce);
   if (cfg_.reorder_memory) report.passes.push_back(s_reorder);
-  // Resolve fusion-metadata op indices against the final op order (the
-  // output tensor name is the stable key across DCE renumbering and
-  // reordering).
-  for (FusedActivation& f : report.fused_activations) {
-    f.op_index = -1;
-    for (size_t oi = 0; oi < model.ops.size(); ++oi) {
-      const TensorDef& out =
-          model.tensors[static_cast<size_t>(model.ops[oi].output)];
-      if (out.name == f.output_name) {
-        f.op_index = static_cast<int>(oi);
-        break;
-      }
-    }
-  }
   report.ops_after = static_cast<int64_t>(model.ops.size());
   report.tensors_after = static_cast<int64_t>(model.tensors.size());
   report.blob_bytes_after = model.weights_bytes();

@@ -79,21 +79,9 @@ struct PassStats {
   int64_t peak_bytes_saved = 0;      // reorder: peak_live_bytes reduction
 };
 
-// Fusion metadata: op `op_index` of the *compiled* model had a standalone
-// downstream activation folded into its OpDef::act, so a backend that claims
-// it executes conv→activation in one kernel invocation (the fast backend's
-// fused requant→clamp store already does exactly this; the metadata is what
-// tells it — and the profiler — that the clamp used to be a separate op).
-struct FusedActivation {
-  int op_index = -1;
-  rt::Activation act = rt::Activation::kNone;
-  std::string output_name;  // stable across later passes / reordering
-};
-
 struct CompileReport {
   bool enabled = false;
   std::vector<PassStats> passes;
-  std::vector<FusedActivation> fused_activations;
 
   int64_t ops_before = 0, ops_after = 0;
   int64_t tensors_before = 0, tensors_after = 0;

@@ -8,8 +8,10 @@
 // modeled (as negligible) in the MCU latency model, not here.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "quant/quant.hpp"
 
@@ -44,7 +46,28 @@ struct RequantParams {
   const quant::FixedMultiplier& channel_mult(int32_t oc) const {
     return per_channel.empty() ? mult : per_channel[static_cast<size_t>(oc)];
   }
+  // requant(acc) + output_zp clamped to [lo, hi]. Clamping before adding
+  // the zero point gives the same value and keeps a saturated multiplier
+  // output from overflowing the add.
+  int32_t requantize(int32_t acc, int32_t oc, int32_t lo, int32_t hi) const {
+    return std::clamp(quant::multiply_by_quantized_multiplier(acc, channel_mult(oc)),
+                      lo - output_zp, hi - output_zp) +
+           output_zp;
+  }
 };
+
+// a + b with two's-complement wrap-around, where int32 `+` would be UB.
+inline int32_t wrap_add(int32_t a, int32_t b) {
+  return static_cast<int32_t>(static_cast<uint32_t>(a) + static_cast<uint32_t>(b));
+}
+
+// acc + bias[oc] (bias may be empty), wrapping. A loaded model's MAC sums and
+// biases cannot overflow (ModelDef::check bounds them), but a flash fault can
+// set a bias to any value after load; wrapping keeps every kernel defined and
+// equal to the SIMD paths, which wrap natively.
+inline int32_t add_bias(int32_t acc, std::span<const int32_t> bias, int32_t oc) {
+  return bias.empty() ? acc : wrap_add(acc, bias[static_cast<size_t>(oc)]);
+}
 
 // Standard conv2d: weights [out_ch, kh, kw, in_ch], bias int32 (or empty).
 void conv2d_s8(std::span<const int8_t> input, std::span<const int8_t> weights,

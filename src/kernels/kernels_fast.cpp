@@ -73,11 +73,7 @@ inline int32_t dot_s8(const int8_t* x, const int8_t* w, int64_t n) {
 }
 
 inline int8_t requant_store(int32_t acc, const RequantParams& rq, int32_t oc) {
-  int32_t v =
-      quant::multiply_by_quantized_multiplier(acc, rq.channel_mult(oc)) +
-      rq.output_zp;
-  v = std::clamp(v, rq.act_min, rq.act_max);
-  return static_cast<int8_t>(v);
+  return static_cast<int8_t>(rq.requantize(acc, oc, rq.act_min, rq.act_max));
 }
 
 }  // namespace
@@ -153,12 +149,11 @@ void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed
             output.data() + (int64_t{oy} * g.out_w + ox0) * g.out_ch;
         for (int32_t oc = 0; oc < g.out_ch; ++oc) {
           const int8_t* wr = packed.rows.data() + int64_t{oc} * row_stride;
-          const int32_t init =
-              (bias.empty() ? 0 : bias[static_cast<size_t>(oc)]) -
-              rq.input_zp * packed.sum_w[static_cast<size_t>(oc)];
+          const int32_t init = add_bias(
+              -rq.input_zp * packed.sum_w[static_cast<size_t>(oc)], bias, oc);
           for (int32_t p = 0; p < np; ++p) {
-            const int32_t acc =
-                init + dot_s8(block + int64_t{p} * row_stride, wr, row_stride);
+            const int32_t acc = wrap_add(
+                init, dot_s8(block + int64_t{p} * row_stride, wr, row_stride));
             out_base[int64_t{p} * g.out_ch + oc] = requant_store(acc, rq, oc);
           }
         }
@@ -252,7 +247,7 @@ void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
         }
 #endif
         for (; c < ch; ++c) {
-          int32_t acc = bias.empty() ? 0 : bias[static_cast<size_t>(c)];
+          int32_t acc = 0;
           for (int32_t ky = ky0; ky < ky1; ++ky) {
             const int64_t x_row = (int64_t{iy0 + ky} * g.in_w + ix0) * ch + c;
             const int64_t w_row = int64_t{ky} * g.kw * row_stride + c;
@@ -261,7 +256,7 @@ void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
                       rq.input_zp) *
                      static_cast<int32_t>(w[w_row + kx * row_stride]);
           }
-          out_px[c] = requant_store(acc, rq, c);
+          out_px[c] = requant_store(add_bias(acc, bias, c), rq, c);
         }
       }
     }
@@ -290,11 +285,9 @@ void fully_connected_s8_fast(std::span<const int8_t> input,
         for (int32_t o = static_cast<int32_t>(o_lo); o < o_hi; ++o) {
           const int8_t* wr =
               packed.rows.data() + int64_t{o} * packed.row_stride;
-          const int32_t init =
-              (bias.empty() ? 0 : bias[static_cast<size_t>(o)]) -
-              rq.input_zp * packed.sum_w[static_cast<size_t>(o)];
-          const int32_t acc = init + dot_s8(input.data(), wr, in_features);
-          output[static_cast<size_t>(o)] = requant_store(acc, rq, o);
+          const int32_t acc = dot_s8(input.data(), wr, in_features) -
+                              rq.input_zp * packed.sum_w[static_cast<size_t>(o)];
+          output[static_cast<size_t>(o)] = requant_store(add_bias(acc, bias, o), rq, o);
         }
       },
       /*grain=*/16);

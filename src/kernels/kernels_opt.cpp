@@ -77,7 +77,7 @@ void conv2d_s8_im2col(std::span<const int8_t> input,
       for (int32_t oc = 0; oc < g.out_ch; ++oc) {
         const int8_t* wr = weights.data() + int64_t{oc} * ksize;
         const int8_t* xr = colbuf;
-        int32_t acc = bias.empty() ? 0 : bias[static_cast<size_t>(oc)];
+        int32_t acc = 0;
         int64_t i = 0;
         // Unrolled by 4: the scalar stand-in for the SMLAD dual-MAC path.
         for (; i + 4 <= ksize; i += 4) {
@@ -88,11 +88,8 @@ void conv2d_s8_im2col(std::span<const int8_t> input,
         }
         for (; i < ksize; ++i)
           acc += (static_cast<int32_t>(xr[i]) - rq.input_zp) * wr[i];
-        int32_t v =
-            quant::multiply_by_quantized_multiplier(acc, rq.channel_mult(oc)) +
-            rq.output_zp;
-        v = std::clamp(v, rq.act_min, rq.act_max);
-        out_px[oc] = static_cast<int8_t>(v);
+        out_px[oc] = static_cast<int8_t>(rq.requantize(
+            add_bias(acc, bias, oc), oc, rq.act_min, rq.act_max));
       }
     }
   }

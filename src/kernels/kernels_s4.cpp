@@ -31,9 +31,8 @@ void store_s4(std::span<uint8_t> packed, int64_t index, int8_t value) {
 namespace {
 
 int8_t requantize4(int32_t acc, const RequantParams& rq, int32_t oc) {
-  int32_t v = quant::multiply_by_quantized_multiplier(acc, rq.channel_mult(oc)) + rq.output_zp;
-  v = std::clamp(v, std::max(rq.act_min, -8), std::min(rq.act_max, 7));
-  return static_cast<int8_t>(v);
+  return static_cast<int8_t>(
+      rq.requantize(acc, oc, std::max(rq.act_min, -8), std::min(rq.act_max, 7)));
 }
 
 }  // namespace
@@ -66,7 +65,7 @@ void conv2d_s4(std::span<const uint8_t> input, std::span<const uint8_t> weights,
       const int32_t iy0 = oy * g.stride - g.pad_h;
       const int32_t ix0 = ox * g.stride - g.pad_w;
       for (int32_t oc = 0; oc < g.out_ch; ++oc) {
-        int32_t acc = bias.empty() ? 0 : bias[static_cast<size_t>(oc)];
+        int32_t acc = 0;
         for (int32_t ky = 0; ky < g.kh; ++ky) {
           const int32_t iy = iy0 + ky;
           if (iy < 0 || iy >= g.in_h) continue;
@@ -85,7 +84,7 @@ void conv2d_s4(std::span<const uint8_t> input, std::span<const uint8_t> weights,
           }
         }
         const int64_t out_idx = (int64_t{oy} * g.out_w + ox) * g.out_ch + oc;
-        store_s4(output, out_idx, requantize4(acc, rq, oc));
+        store_s4(output, out_idx, requantize4(add_bias(acc, bias, oc), rq, oc));
       }
     }
   }
@@ -114,7 +113,7 @@ void depthwise_conv2d_s4(std::span<const uint8_t> input,
       const int32_t iy0 = oy * g.stride - g.pad_h;
       const int32_t ix0 = ox * g.stride - g.pad_w;
       for (int32_t c = 0; c < g.out_ch; ++c) {
-        int32_t acc = bias.empty() ? 0 : bias[static_cast<size_t>(c)];
+        int32_t acc = 0;
         for (int32_t ky = 0; ky < g.kh; ++ky) {
           const int32_t iy = iy0 + ky;
           if (iy < 0 || iy >= g.in_h) continue;
@@ -127,7 +126,7 @@ void depthwise_conv2d_s4(std::span<const uint8_t> input,
           }
         }
         const int64_t out_idx = (int64_t{oy} * g.out_w + ox) * g.out_ch + c;
-        store_s4(output, out_idx, requantize4(acc, rq, c));
+        store_s4(output, out_idx, requantize4(add_bias(acc, bias, c), rq, c));
       }
     }
   }
@@ -155,12 +154,12 @@ void fully_connected_s4(std::span<const uint8_t> input,
         const int32_t o_hi =
             std::min(out_features, static_cast<int32_t>(2 * p_hi));
         for (int32_t o = o_lo; o < o_hi; ++o) {
-          int32_t acc = bias.empty() ? 0 : bias[static_cast<size_t>(o)];
+          int32_t acc = 0;
           const int64_t woff = int64_t{o} * in_features;
           for (int32_t i = 0; i < in_features; ++i)
             acc += (static_cast<int32_t>(load_s4(input, i)) - rq.input_zp) *
                    static_cast<int32_t>(load_s4(weights, woff + i));
-          store_s4(output, o, requantize4(acc, rq, o));
+          store_s4(output, o, requantize4(add_bias(acc, bias, o), rq, o));
         }
       },
       /*grain=*/8);

@@ -11,9 +11,7 @@ namespace mn::kernels {
 namespace {
 
 int8_t requantize(int32_t acc, const RequantParams& rq, int32_t oc) {
-  int32_t v = quant::multiply_by_quantized_multiplier(acc, rq.channel_mult(oc)) + rq.output_zp;
-  v = std::clamp(v, rq.act_min, rq.act_max);
-  return static_cast<int8_t>(v);
+  return static_cast<int8_t>(rq.requantize(acc, oc, rq.act_min, rq.act_max));
 }
 
 }  // namespace
@@ -39,7 +37,7 @@ void conv2d_s8(std::span<const int8_t> input, std::span<const int8_t> weights,
       int8_t* out_px = output.data() + (int64_t{oy} * g.out_w + ox) * g.out_ch;
       for (int32_t oc = 0; oc < g.out_ch; ++oc) {
         const int8_t* wr = weights.data() + oc * ksize;
-        int32_t acc = bias.empty() ? 0 : bias[static_cast<size_t>(oc)];
+        int32_t acc = 0;
         for (int32_t ky = 0; ky < g.kh; ++ky) {
           const int32_t iy = iy0 + ky;
           if (iy < 0 || iy >= g.in_h) continue;
@@ -53,7 +51,7 @@ void conv2d_s8(std::span<const int8_t> input, std::span<const int8_t> weights,
                      static_cast<int32_t>(wk[ic]);
           }
         }
-        out_px[oc] = requantize(acc, rq, oc);
+        out_px[oc] = requantize(add_bias(acc, bias, oc), rq, oc);
       }
     }
   }
@@ -77,7 +75,7 @@ void depthwise_conv2d_s8(std::span<const int8_t> input,
       const int32_t ix0 = ox * g.stride - g.pad_w;
       int8_t* out_px = output.data() + (int64_t{oy} * g.out_w + ox) * g.out_ch;
       for (int32_t c = 0; c < g.out_ch; ++c) {
-        int32_t acc = bias.empty() ? 0 : bias[static_cast<size_t>(c)];
+        int32_t acc = 0;
         for (int32_t ky = 0; ky < g.kh; ++ky) {
           const int32_t iy = iy0 + ky;
           if (iy < 0 || iy >= g.in_h) continue;
@@ -89,7 +87,7 @@ void depthwise_conv2d_s8(std::span<const int8_t> input,
             acc += (static_cast<int32_t>(x) - rq.input_zp) * static_cast<int32_t>(w);
           }
         }
-        out_px[c] = requantize(acc, rq, c);
+        out_px[c] = requantize(add_bias(acc, bias, c), rq, c);
       }
     }
   }
@@ -113,12 +111,12 @@ void fully_connected_s8(std::span<const int8_t> input,
       [&](int64_t o_lo, int64_t o_hi) {
         for (int32_t o = static_cast<int32_t>(o_lo); o < o_hi; ++o) {
           const int8_t* wr = weights.data() + int64_t{o} * in_features;
-          int32_t acc = bias.empty() ? 0 : bias[static_cast<size_t>(o)];
+          int32_t acc = 0;
           for (int32_t i = 0; i < in_features; ++i)
             acc += (static_cast<int32_t>(input[static_cast<size_t>(i)]) -
                     rq.input_zp) *
                    static_cast<int32_t>(wr[i]);
-          output[static_cast<size_t>(o)] = requantize(acc, rq, o);
+          output[static_cast<size_t>(o)] = requantize(add_bias(acc, bias, o), rq, o);
         }
       },
       /*grain=*/16);

@@ -52,11 +52,8 @@ class RolloutController {
   void tick();
 
   Stage stage() const { return stage_; }
-  // Registry id / pool variant the fleet is serving on.
-  int active_version() const { return registry_.active(); }
+  // Pool variant the fleet is serving on.
   int active_variant() const;
-  int candidate_variant() const { return candidate_variant_; }
-  Tick stage_entered_tick() const { return stage_entered_; }
   // Tick at which the rollout completed / aborted (-1 while in flight).
   Tick completion_tick() const { return completion_tick_; }
   Tick abort_tick() const { return report_.at_tick; }

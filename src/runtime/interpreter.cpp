@@ -84,10 +84,9 @@ Interpreter::Interpreter(ModelDef model, MemoryPlan plan,
   }
   arena_.assign(static_cast<size_t>(plan_.arena_bytes + 2 * kArenaGuardBytes), 0);
   fill_guards();
-  prepare();
-  // Backend resolution: pack weight panels (or adopt the shared set), then
-  // record per-op which backend actually serves each op — claimed ops run on
-  // the requested backend, the rest fall back to reference.
+  // Backend resolution: pack weight panels (or adopt the shared set). An op
+  // with panels runs on the requested backend, the rest fall back to
+  // reference.
   if (packed == nullptr) {
     packed_ = pack_model_weights(model_, backend_);
   } else {
@@ -97,39 +96,15 @@ Interpreter::Interpreter(ModelDef model, MemoryPlan plan,
           "Interpreter: shared PackedModel does not match the backend config");
     packed_ = std::move(packed);
   }
-  op_backend_.assign(model_.ops.size(), kernels::BackendKind::kReference);
-  for (size_t i = 0; i < model_.ops.size(); ++i)
-    if (packed_->per_op[i] != nullptr) op_backend_[i] = backend_.kind;
-  // Shared conv scratch (CMSIS-NN analog), sized for whichever path each
-  // conv dispatches to: one im2col column (reference) or a pixel block of
-  // padded columns (fast).
+  prepare();
   int64_t scratch = 0;
-  for (size_t i = 0; i < model_.ops.size(); ++i)
-    if (model_.ops[i].type == OpType::kConv2D)
-      scratch = std::max(scratch,
-                         op_backend_[i] == kernels::BackendKind::kFast
-                             ? kernels::conv2d_fast_scratch_bytes(prepared_[i].conv)
-                             : kernels::conv2d_scratch_bytes(prepared_[i].conv));
+  for (const PreparedOp& p : ops_) scratch = std::max(scratch, p.scratch_bytes);
   scratch_.assign(static_cast<size_t>(scratch), 0);
   expected_weights_crc_ = model_.weights_crc();
-  op_macs_.resize(model_.ops.size());
   op_wall_ns_.assign(model_.ops.size(), 0);
-  for (size_t i = 0; i < model_.ops.size(); ++i)
-    op_macs_[i] = model_.ops[i].macs(model_.tensors);
   op_live_bytes_ = plan_.occupancy_timeline(static_cast<int>(model_.ops.size()));
-  op_scratch_bytes_.assign(model_.ops.size(), 0);
-  for (size_t i = 0; i < model_.ops.size(); ++i) {
-    const TensorDef& in =
-        model_.tensors[static_cast<size_t>(model_.ops[i].inputs[0])];
-    if (model_.ops[i].type == OpType::kConv2D && in.bits == 8)
-      op_scratch_bytes_[i] =
-          op_backend_[i] == kernels::BackendKind::kFast
-              ? kernels::conv2d_fast_scratch_bytes(prepared_[i].conv)
-              : kernels::conv2d_scratch_bytes(prepared_[i].conv);
-  }
   obs::gauge_set_max(obs::Gauge::kArenaPeakBytes, plan_.arena_bytes);
-  obs::gauge_set_max(obs::Gauge::kScratchPeakBytes,
-                     static_cast<int64_t>(scratch_.size()));
+  obs::gauge_set_max(obs::Gauge::kScratchPeakBytes, scratch);
   obs::gauge_set_max(obs::Gauge::kArenaLiveBytesPeak,
                      plan_.peak_live_bytes(static_cast<int>(model_.ops.size())));
 }
@@ -162,16 +137,83 @@ std::optional<RtError> Interpreter::check_canaries() const {
 
 void Interpreter::rearm_weights_crc() { expected_weights_crc_ = model_.weights_crc(); }
 
+std::optional<RtError> Interpreter::check_weights() const {
+  if (model_.weights_crc() == expected_weights_crc_) return std::nullopt;
+  return RtError{ErrorCode::kCrcMismatch,
+                 "Interpreter: weights blob CRC drifted since load "
+                 "(flash fault or unannounced update)"};
+}
+
+namespace {
+
+// in_scale * w_scale / out_scale per tensor or per output channel, and the
+// fused-activation clamp: the requant shared by conv, depthwise and FC.
+kernels::RequantParams requant(const TensorDef& in, const TensorDef& w,
+                               const TensorDef& out, Activation act) {
+  kernels::RequantParams rq;
+  rq.input_zp = in.qp.zero_point;
+  rq.output_zp = out.qp.zero_point;
+  if (w.channel_scales.empty()) {
+    rq.mult = quant::quantize_multiplier(static_cast<double>(in.qp.scale) *
+                                         w.qp.scale / out.qp.scale);
+  } else {
+    rq.per_channel.reserve(w.channel_scales.size());
+    for (float ws : w.channel_scales)
+      rq.per_channel.push_back(quant::quantize_multiplier(
+          static_cast<double>(in.qp.scale) * ws / out.qp.scale));
+  }
+  activation_range(act, out.qp, out.bits, &rq.act_min, &rq.act_max);
+  return rq;
+}
+
+}  // namespace
+
+Interpreter::Operand Interpreter::operand(int tensor_id) const {
+  const TensorDef& t = model_.tensors[static_cast<size_t>(tensor_id)];
+  if (t.is_const) return {true, t.blob_offset, t.storage_bytes()};
+  // plan_memory allocates every non-const tensor, and an injected plan is
+  // checked for exactly that in the constructor.
+  const TensorAllocation* a = plan_.find(tensor_id);
+  return {false, a->offset, a->bytes};
+}
+
+std::span<uint8_t> Interpreter::bytes(const Operand& o) {
+  uint8_t* base = o.in_blob ? model_.weights_blob.data()
+                            : arena_.data() + kArenaGuardBytes;
+  return {base + o.offset, static_cast<size_t>(o.bytes)};
+}
+
+// Resolves every op into its PreparedOp and serving backend, and records the
+// first op the kernels cannot run (in the order an invoke would reach it).
 void Interpreter::prepare() {
-  prepared_.resize(model_.ops.size());
+  auto unsupported = [&](const char* why) {
+    if (!unsupported_)
+      unsupported_ = RtError{ErrorCode::kUnsupportedOp,
+                             std::string("Interpreter: ") + why};
+  };
+  input_ = operand(model_.input_tensor);
+  output_ = operand(model_.output_tensor);
+  if (input_.in_blob) unsupported("not an arena tensor");
+  ops_.resize(model_.ops.size());
+  op_backend_.resize(model_.ops.size());
   for (size_t i = 0; i < model_.ops.size(); ++i) {
     const OpDef& op = model_.ops[i];
-    PreparedOp& p = prepared_[i];
+    PreparedOp& p = ops_[i];
+    for (size_t k = 0; k < std::min<size_t>(3, op.inputs.size()); ++k)
+      if (op.inputs[k] >= 0) p.in[k] = operand(op.inputs[k]);
+    p.out = operand(op.output);
+    p.macs = op.macs(model_.tensors);
+    const TensorDef& in = model_.tensors[static_cast<size_t>(op.inputs[0])];
     const TensorDef& out = model_.tensors[static_cast<size_t>(op.output)];
+    const int bits = in.bits;
+    const bool fast = packed_->per_op[i] != nullptr;
+    op_backend_[i] = fast ? backend_.kind : kernels::BackendKind::kReference;
+    const bool bits_ok = bits == 8 || bits == 4;
+    if (!bits_ok) unsupported("unsupported activation bits");
     switch (op.type) {
       case OpType::kConv2D:
       case OpType::kDepthwiseConv2D: {
-        const TensorDef& in = model_.tensors[static_cast<size_t>(op.inputs[0])];
+        const bool dw = op.type == OpType::kDepthwiseConv2D;
         const TensorDef& w = model_.tensors[static_cast<size_t>(op.inputs[1])];
         p.conv.in_h = static_cast<int32_t>(in.shape.dim(0));
         p.conv.in_w = static_cast<int32_t>(in.shape.dim(1));
@@ -184,43 +226,37 @@ void Interpreter::prepare() {
         p.conv.stride = op.stride;
         p.conv.pad_h = op.pad_h;
         p.conv.pad_w = op.pad_w;
-        p.rq.input_zp = in.qp.zero_point;
-        p.rq.output_zp = out.qp.zero_point;
-        if (w.channel_scales.empty()) {
-          p.rq.mult = quant::quantize_multiplier(
-              static_cast<double>(in.qp.scale) * w.qp.scale / out.qp.scale);
+        p.rq = requant(in, w, out, op.act);
+        if (w.bits != bits || out.bits != bits) {
+          unsupported(dw ? "mixed-precision dwconv unsupported"
+                         : "mixed-precision conv unsupported");
+        } else if (dw) {
+          p.kernel = fast ? Kernel::kDwFast
+                     : bits == 8 ? Kernel::kDwS8 : Kernel::kDwS4;
+        } else if (fast) {
+          p.kernel = Kernel::kConvFast;
+          p.scratch_bytes = kernels::conv2d_fast_scratch_bytes(p.conv);
+        } else if (bits == 8) {
+          p.kernel = Kernel::kConvIm2col;
+          p.scratch_bytes = kernels::conv2d_scratch_bytes(p.conv);
         } else {
-          p.rq.per_channel.reserve(w.channel_scales.size());
-          for (float ws : w.channel_scales)
-            p.rq.per_channel.push_back(quant::quantize_multiplier(
-                static_cast<double>(in.qp.scale) * ws / out.qp.scale));
+          p.kernel = Kernel::kConvS4;
         }
-        activation_range(op.act, out.qp, out.bits, &p.rq.act_min, &p.rq.act_max);
         break;
       }
       case OpType::kFullyConnected: {
-        const TensorDef& in = model_.tensors[static_cast<size_t>(op.inputs[0])];
         const TensorDef& w = model_.tensors[static_cast<size_t>(op.inputs[1])];
         p.fc_in = static_cast<int32_t>(w.shape.dim(1));
         p.fc_out = static_cast<int32_t>(w.shape.dim(0));
         if (in.elements() != p.fc_in)
           throw std::runtime_error("Interpreter: FC input size mismatch");
-        p.rq.input_zp = in.qp.zero_point;
-        p.rq.output_zp = out.qp.zero_point;
-        if (w.channel_scales.empty()) {
-          p.rq.mult = quant::quantize_multiplier(
-              static_cast<double>(in.qp.scale) * w.qp.scale / out.qp.scale);
-        } else {
-          for (float ws : w.channel_scales)
-            p.rq.per_channel.push_back(quant::quantize_multiplier(
-                static_cast<double>(in.qp.scale) * ws / out.qp.scale));
-        }
-        activation_range(op.act, out.qp, out.bits, &p.rq.act_min, &p.rq.act_max);
+        p.rq = requant(in, w, out, op.act);
+        p.kernel = fast ? Kernel::kFcFast
+                   : bits == 8 ? Kernel::kFcS8 : Kernel::kFcS4;
         break;
       }
       case OpType::kAvgPool2D:
       case OpType::kMaxPool2D: {
-        const TensorDef& in = model_.tensors[static_cast<size_t>(op.inputs[0])];
         p.pool.in_h = static_cast<int32_t>(in.shape.dim(0));
         p.pool.in_w = static_cast<int32_t>(in.shape.dim(1));
         p.pool.ch = static_cast<int32_t>(in.shape.dim(2));
@@ -232,10 +268,16 @@ void Interpreter::prepare() {
         p.pool.pad_h = op.pad_h;
         p.pool.pad_w = op.pad_w;
         activation_range(op.act, out.qp, out.bits, &p.rq.act_min, &p.rq.act_max);
+        if (op.type == OpType::kAvgPool2D)
+          p.kernel = bits == 8 ? Kernel::kAvgPoolS8 : Kernel::kAvgPoolS4;
+        else if (bits == 8)
+          p.kernel = Kernel::kMaxPoolS8;
+        else
+          unsupported("int4 max pool unsupported");
         break;
       }
       case OpType::kAdd: {
-        const TensorDef& a = model_.tensors[static_cast<size_t>(op.inputs[0])];
+        const TensorDef& a = in;
         const TensorDef& b = model_.tensors[static_cast<size_t>(op.inputs[1])];
         const double twice_max = 2.0 * std::max(a.qp.scale, b.qp.scale);
         p.add.a_zp = a.qp.zero_point;
@@ -247,31 +289,21 @@ void Interpreter::prepare() {
         p.add.out_mult = quant::quantize_multiplier(
             twice_max / ((1 << p.add.left_shift) * static_cast<double>(out.qp.scale)));
         activation_range(op.act, out.qp, out.bits, &p.add.act_min, &p.add.act_max);
+        if (bits == 8) p.kernel = Kernel::kAddS8;
+        else unsupported("int4 add unsupported");
         break;
       }
-      case OpType::kSoftmax: {
-        const TensorDef& in = model_.tensors[static_cast<size_t>(op.inputs[0])];
+      case OpType::kSoftmax:
+        p.softmax_cols = static_cast<int32_t>(in.elements());
         p.softmax_scale = in.qp.scale;
+        if (bits == 8) p.kernel = Kernel::kSoftmaxS8;
+        else unsupported("int4 softmax unsupported");
         break;
-      }
       case OpType::kOpTypeCount:
         throw std::runtime_error("Interpreter: invalid op type");
     }
+    if (!bits_ok) p.kernel = Kernel::kUnsupported;
   }
-}
-
-std::span<uint8_t> Interpreter::arena_span(int tensor_id) {
-  const TensorAllocation* a = plan_.find(tensor_id);
-  if (a == nullptr) throw std::runtime_error("Interpreter: not an arena tensor");
-  return {arena_.data() + kArenaGuardBytes + a->offset, static_cast<size_t>(a->bytes)};
-}
-
-std::span<const uint8_t> Interpreter::tensor_bytes(int tensor_id) {
-  const TensorDef& t = model_.tensors[static_cast<size_t>(tensor_id)];
-  if (t.is_const)
-    return {model_.weights_blob.data() + t.blob_offset,
-            static_cast<size_t>(t.storage_bytes())};
-  return arena_span(tensor_id);
 }
 
 namespace {
@@ -287,13 +319,7 @@ std::span<const int32_t> as_s32(std::span<const uint8_t> b) {
 }  // namespace
 
 void Interpreter::run_op(size_t i) {
-  const OpDef& op = model_.ops[i];
-  const PreparedOp& p = prepared_[i];
-  const TensorDef& out_t = model_.tensors[static_cast<size_t>(op.output)];
-  const TensorDef& in_t = model_.tensors[static_cast<size_t>(op.inputs[0])];
-  const int bits = in_t.bits;
-  if (bits != 8 && bits != 4)
-    throw std::runtime_error("Interpreter: unsupported activation bits");
+  const PreparedOp& p = ops_[i];
   const bool fast = op_backend_[i] == kernels::BackendKind::kFast;
   obs::counter_add(fast ? obs::Counter::kBackendFastOps
                         : obs::Counter::kBackendReferenceOps,
@@ -304,86 +330,64 @@ void Interpreter::run_op(size_t i) {
   if (fast)
     backend_span.emplace("backend_fast", obs::Cat::kKernel, "op",
                          static_cast<int64_t>(i));
-  auto in_b = tensor_bytes(op.inputs[0]);
-  auto out_b = arena_span(op.output);
-  switch (op.type) {
-    case OpType::kConv2D: {
-      const TensorDef& w = model_.tensors[static_cast<size_t>(op.inputs[1])];
-      if (w.bits != bits || out_t.bits != bits)
-        throw std::runtime_error("Interpreter: mixed-precision conv unsupported");
-      auto w_b = tensor_bytes(op.inputs[1]);
-      std::span<const int32_t> bias;
-      if (op.inputs.size() > 2 && op.inputs[2] >= 0)
-        bias = as_s32(tensor_bytes(op.inputs[2]));
-      if (fast)
-        kernels::conv2d_s8_fast(as_s8(in_b), *packed_->per_op[i], bias,
-                                as_s8(out_b), scratch_, p.conv, p.rq);
-      else if (bits == 8)
-        kernels::conv2d_s8_im2col(as_s8(in_b), as_s8(w_b), bias, as_s8(out_b),
-                                  scratch_, p.conv, p.rq);
-      else
-        kernels::conv2d_s4(in_b, w_b, bias, out_b, p.conv, p.rq);
+  const std::span<const uint8_t> in = bytes(p.in[0]);
+  const std::span<const uint8_t> w = bytes(p.in[1]);
+  const std::span<const int32_t> bias = as_s32(bytes(p.in[2]));
+  const std::span<uint8_t> out = bytes(p.out);
+  switch (p.kernel) {
+    case Kernel::kConvFast:
+      kernels::conv2d_s8_fast(as_s8(in), *packed_->per_op[i], bias, as_s8(out),
+                              scratch_, p.conv, p.rq);
       break;
-    }
-    case OpType::kDepthwiseConv2D: {
-      const TensorDef& w = model_.tensors[static_cast<size_t>(op.inputs[1])];
-      if (w.bits != bits || out_t.bits != bits)
-        throw std::runtime_error("Interpreter: mixed-precision dwconv unsupported");
-      auto w_b = tensor_bytes(op.inputs[1]);
-      std::span<const int32_t> bias;
-      if (op.inputs.size() > 2 && op.inputs[2] >= 0)
-        bias = as_s32(tensor_bytes(op.inputs[2]));
-      if (fast)
-        kernels::depthwise_conv2d_s8_fast(as_s8(in_b), *packed_->per_op[i],
-                                          bias, as_s8(out_b), p.conv, p.rq);
-      else if (bits == 8)
-        kernels::depthwise_conv2d_s8(as_s8(in_b), as_s8(w_b), bias, as_s8(out_b),
-                                     p.conv, p.rq);
-      else
-        kernels::depthwise_conv2d_s4(in_b, w_b, bias, out_b, p.conv, p.rq);
+    case Kernel::kConvIm2col:
+      kernels::conv2d_s8_im2col(as_s8(in), as_s8(w), bias, as_s8(out), scratch_,
+                                p.conv, p.rq);
       break;
-    }
-    case OpType::kFullyConnected: {
-      auto w_b = tensor_bytes(op.inputs[1]);
-      std::span<const int32_t> bias;
-      if (op.inputs.size() > 2 && op.inputs[2] >= 0)
-        bias = as_s32(tensor_bytes(op.inputs[2]));
-      if (fast)
-        kernels::fully_connected_s8_fast(as_s8(in_b), *packed_->per_op[i], bias,
-                                         as_s8(out_b), p.fc_in, p.fc_out, p.rq);
-      else if (bits == 8)
-        kernels::fully_connected_s8(as_s8(in_b), as_s8(w_b), bias, as_s8(out_b),
-                                    p.fc_in, p.fc_out, p.rq);
-      else
-        kernels::fully_connected_s4(in_b, w_b, bias, out_b, p.fc_in, p.fc_out, p.rq);
+    case Kernel::kConvS4:
+      kernels::conv2d_s4(in, w, bias, out, p.conv, p.rq);
       break;
-    }
-    case OpType::kAvgPool2D:
-      if (bits == 8)
-        kernels::avg_pool_s8(as_s8(in_b), as_s8(out_b), p.pool, p.rq.act_min,
-                             p.rq.act_max);
-      else
-        kernels::avg_pool_s4(in_b, out_b, p.pool, p.rq.act_min, p.rq.act_max);
+    case Kernel::kDwFast:
+      kernels::depthwise_conv2d_s8_fast(as_s8(in), *packed_->per_op[i], bias,
+                                        as_s8(out), p.conv, p.rq);
       break;
-    case OpType::kMaxPool2D:
-      if (bits != 8) throw std::runtime_error("Interpreter: int4 max pool unsupported");
-      kernels::max_pool_s8(as_s8(in_b), as_s8(out_b), p.pool, p.rq.act_min,
+    case Kernel::kDwS8:
+      kernels::depthwise_conv2d_s8(as_s8(in), as_s8(w), bias, as_s8(out),
+                                   p.conv, p.rq);
+      break;
+    case Kernel::kDwS4:
+      kernels::depthwise_conv2d_s4(in, w, bias, out, p.conv, p.rq);
+      break;
+    case Kernel::kFcFast:
+      kernels::fully_connected_s8_fast(as_s8(in), *packed_->per_op[i], bias,
+                                       as_s8(out), p.fc_in, p.fc_out, p.rq);
+      break;
+    case Kernel::kFcS8:
+      kernels::fully_connected_s8(as_s8(in), as_s8(w), bias, as_s8(out),
+                                  p.fc_in, p.fc_out, p.rq);
+      break;
+    case Kernel::kFcS4:
+      kernels::fully_connected_s4(in, w, bias, out, p.fc_in, p.fc_out, p.rq);
+      break;
+    case Kernel::kAvgPoolS8:
+      kernels::avg_pool_s8(as_s8(in), as_s8(out), p.pool, p.rq.act_min,
                            p.rq.act_max);
       break;
-    case OpType::kAdd: {
-      if (bits != 8) throw std::runtime_error("Interpreter: int4 add unsupported");
-      auto b_b = tensor_bytes(op.inputs[1]);
-      kernels::add_s8(as_s8(in_b), as_s8(b_b), as_s8(out_b), p.add);
+    case Kernel::kAvgPoolS4:
+      kernels::avg_pool_s4(in, out, p.pool, p.rq.act_min, p.rq.act_max);
       break;
-    }
-    case OpType::kSoftmax: {
-      if (bits != 8) throw std::runtime_error("Interpreter: int4 softmax unsupported");
-      const int32_t cols = static_cast<int32_t>(in_t.elements());
-      kernels::softmax_s8(as_s8(in_b), as_s8(out_b), 1, cols, p.softmax_scale);
+    case Kernel::kMaxPoolS8:
+      kernels::max_pool_s8(as_s8(in), as_s8(out), p.pool, p.rq.act_min,
+                           p.rq.act_max);
       break;
-    }
-    case OpType::kOpTypeCount:
-      throw std::runtime_error("Interpreter: invalid op type");
+    case Kernel::kAddS8:
+      kernels::add_s8(as_s8(in), as_s8(w), as_s8(out), p.add);
+      break;
+    case Kernel::kSoftmaxS8:
+      kernels::softmax_s8(as_s8(in), as_s8(out), 1, p.softmax_cols,
+                          p.softmax_scale);
+      break;
+    case Kernel::kUnsupported:
+      break;
   }
 }
 
@@ -394,16 +398,15 @@ Expected<TensorI8> Interpreter::try_invoke_quantized(const TensorI8& input) {
                    "Interpreter: input element count mismatch: got " +
                        std::to_string(input.size()) + ", model wants " +
                        std::to_string(in_t.elements())};
-  if (verify_weights_crc_ && model_.weights_crc() != expected_weights_crc_)
-    return RtError{ErrorCode::kCrcMismatch,
-                   "Interpreter: weights blob CRC drifted since load "
-                   "(flash fault or unannounced update)"};
+  if (verify_weights_crc_)
+    if (auto err = check_weights()) return *err;
+  if (unsupported_) return *unsupported_;
   if (panels_stale_) {
     packed_ = pack_model_weights(model_, backend_);
     panels_stale_ = false;
   }
   try {
-    auto in_b = arena_span(model_.input_tensor);
+    auto in_b = bytes(input_);
     if (in_t.bits == 8) {
       std::memcpy(in_b.data(), input.data(), static_cast<size_t>(input.size()));
     } else {
@@ -419,7 +422,7 @@ Expected<TensorI8> Interpreter::try_invoke_quantized(const TensorI8& input) {
       for (size_t i = 0; i < model_.ops.size(); ++i) {
         obs::SpanScope op_span(op_type_name(model_.ops[i].type),
                                obs::Cat::kKernel, "op",
-                               static_cast<int64_t>(i), "macs", op_macs_[i]);
+                               static_cast<int64_t>(i), "macs", ops_[i].macs);
         if (profiling_) {
           const auto t0 = std::chrono::steady_clock::now();
           run_op(i);
@@ -436,7 +439,7 @@ Expected<TensorI8> Interpreter::try_invoke_quantized(const TensorI8& input) {
           obs::trace_counter("arena_bytes",
                              static_cast<double>(op_live_bytes_[i]));
           obs::trace_counter("scratch_bytes",
-                             static_cast<double>(op_scratch_bytes_[i]));
+                             static_cast<double>(ops_[i].scratch_bytes));
           obs::trace_counter(
               "cumulative_macs",
               static_cast<double>(
@@ -450,7 +453,7 @@ Expected<TensorI8> Interpreter::try_invoke_quantized(const TensorI8& input) {
     ++invocations_;
     if (auto err = check_canaries()) return *err;
     const TensorDef& out_t = model_.tensors[static_cast<size_t>(model_.output_tensor)];
-    auto out_b = tensor_bytes(model_.output_tensor);
+    auto out_b = bytes(output_);
     TensorI8 out(out_t.shape);
     if (out_t.bits == 8) {
       std::memcpy(out.data(), out_b.data(), static_cast<size_t>(out.size()));
@@ -459,7 +462,7 @@ Expected<TensorI8> Interpreter::try_invoke_quantized(const TensorI8& input) {
     }
     return out;
   } catch (const std::exception& e) {
-    // run_op rejects op/precision combinations the kernels cannot execute.
+    // A kernel's own argument checks reject a malformed image.
     return RtError{ErrorCode::kUnsupportedOp, e.what()};
   }
 }
@@ -510,7 +513,7 @@ ProfileReport Interpreter::profile_report() const {
     op.output_name =
         model_.tensors[static_cast<size_t>(model_.ops[i].output)].name;
     op.backend = kernels::backend_name(op_backend_[i]);
-    op.macs = op_macs_[i];
+    op.macs = ops_[i].macs;
     op.invocations = profiled_invocations_;
     op.wall_ns = op_wall_ns_[i];
   }

@@ -1,7 +1,10 @@
 // Interpreter: executes a ModelDef using the integer kernels, with all
 // activations placed in a single planned arena — the TFLM execution model.
-// Also provides the memory-recording report (TFLM RecordingMicroInterpreter
-// analog) that the paper uses to obtain SRAM numbers.
+// Construction is TFLM's Prepare/AllocateTensors: every per-op decision
+// (kernel, operand offsets, requant and geometry, MACs, scratch) is made
+// once; invoke only runs kernels. Also provides the memory-recording report
+// (TFLM RecordingMicroInterpreter analog) that the paper uses to obtain
+// SRAM numbers.
 #pragma once
 
 #include <memory>
@@ -39,10 +42,9 @@ struct MemoryReport {
 };
 
 // Weight panels for every op a fast backend claims, packed once per model
-// (DESIGN.md §14). Immutable after construction and shared — an
-// InterpreterPool packs a variant's weights a single time and every replica
-// (including quarantine/reimage rebuilds) aliases the same panels, the same
-// way they share the MemoryPlan. Index-aligned with ModelDef::ops; ops the
+// (DESIGN.md §14). Immutable after construction and shared — copies of an
+// Interpreter (an InterpreterPool's replicas, including quarantine/reimage
+// rebuilds) alias the same panels. Index-aligned with ModelDef::ops; ops the
 // backend does not claim hold nullptr.
 struct PackedModel {
   kernels::BackendKind kind = kernels::BackendKind::kReference;
@@ -67,17 +69,25 @@ class Interpreter {
   // The interpreter stores a copy of the model ("flash contents") and
   // allocates its arena up front (AllocateTensors analog).
   //
-  // `plan`: an empty plan is computed here; a pool of instances
-  // (serve::InterpreterPool) passes one MemoryPlan computed once per model
-  // so it pays for planning a single time. An injected plan must have been
-  // produced by plan_memory() for an identical graph; a mismatched plan is
-  // rejected.
+  // `plan`: an empty plan is computed here; a caller building several
+  // interpreters of one model may pass one MemoryPlan computed once. An
+  // injected plan must have been produced by plan_memory() for an identical
+  // graph; a mismatched plan is rejected.
   //
   // `config`: the kernel backend (default fast). Ops the backend claims
   // dispatch to its kernels; everything else falls back to reference per-op.
   //
   // `packed`: weight panels shared across instances. One whose kind does
   // not match `config` is rejected; nullptr packs privately here.
+  //
+  // A model with an op the kernels cannot run (e.g. int4 max pool, mixed-
+  // precision conv) still constructs; every try_invoke* then fails with
+  // kUnsupportedOp naming the first such op.
+  //
+  // Copying is how replicas are made (serve::InterpreterPool): the copy owns
+  // its own flash image, arena, scratch and profile, and aliases only the
+  // immutable packed panels — the prepared per-op records hold offsets, not
+  // pointers, so they stay valid in the copy.
   explicit Interpreter(ModelDef model, MemoryPlan plan = {},
                        kernels::BackendConfig config = {},
                        std::shared_ptr<const PackedModel> packed = nullptr);
@@ -105,6 +115,9 @@ class Interpreter {
   // Accept the current weights blob as the new integrity baseline (e.g.
   // after an intentional in-place update).
   void rearm_weights_crc();
+  // kCrcMismatch when the live weights blob no longer matches the baseline
+  // (the check every verifying try_invoke* runs).
+  std::optional<RtError> check_weights() const;
 
   // Guard-band canaries: the arena is bracketed by kArenaGuardBytes of a
   // fixed pattern; a kernel overrun past either end is detected instead of
@@ -169,47 +182,70 @@ class Interpreter {
   const std::vector<int64_t>& op_live_bytes() const { return op_live_bytes_; }
 
  private:
+  // The kernel an op runs, chosen at construction from the backend's claim
+  // and the operand bit widths.
+  enum class Kernel : uint8_t {
+    kUnsupported,  // never dispatched: try_invoke* fails first
+    kConvFast, kConvIm2col, kConvS4,
+    kDwFast, kDwS8, kDwS4,
+    kFcFast, kFcS8, kFcS4,
+    kAvgPoolS8, kAvgPoolS4, kMaxPoolS8, kAddS8, kSoftmaxS8,
+  };
+  // Where a tensor's bytes live: the weights blob or the arena (offset past
+  // the leading guard band). bytes == 0 marks an absent optional input.
+  struct Operand {
+    bool in_blob = false;
+    int64_t offset = 0;
+    int64_t bytes = 0;
+  };
+  // Everything one op needs at invoke, resolved once.
   struct PreparedOp {
-    kernels::RequantParams rq;      // conv/dw/fc
+    Kernel kernel = Kernel::kUnsupported;
+    Operand in[3];  // OpDef::inputs order: {input, weights, bias} / {a, b}
+    Operand out;
+    kernels::RequantParams rq;      // conv/dw/fc; pools use its clamp
     kernels::AddParams add;         // add
     kernels::ConvGeometry conv;     // conv/dw
     kernels::PoolGeometry pool;     // pools
     int32_t fc_in = 0, fc_out = 0;  // fully connected
+    int32_t softmax_cols = 0;
     float softmax_scale = 0.f;
+    int64_t macs = 0;
+    int64_t scratch_bytes = 0;      // conv scratch the kernel uses
   };
 
   void prepare();
   void run_op(size_t op_index);
   void fill_guards();
-
-  std::span<uint8_t> arena_span(int tensor_id);
-  std::span<const uint8_t> tensor_bytes(int tensor_id);
+  Operand operand(int tensor_id) const;
+  std::span<uint8_t> bytes(const Operand& o);
 
   ModelDef model_;
   MemoryPlan plan_;
   kernels::BackendConfig backend_;
   std::shared_ptr<const PackedModel> packed_;
-  std::vector<kernels::BackendKind> op_backend_;
-  std::vector<PreparedOp> prepared_;
+  std::vector<PreparedOp> ops_;  // index-aligned with model_.ops
+  Operand input_, output_;       // the model's input and output tensors
+  // First op (in execution order) the kernels cannot run, if any.
+  std::optional<RtError> unsupported_;
   // Layout: [guard band | planned tensors (plan_.arena_bytes) | guard band].
   std::vector<uint8_t> arena_;
-  // IM2COL column buffer shared by all conv ops (CMSIS-NN scratch analog).
+  // Conv scratch shared by all conv ops (CMSIS-NN scratch analog).
   std::vector<int8_t> scratch_;
   int64_t invocations_ = 0;
   uint32_t expected_weights_crc_ = 0;
   bool verify_weights_crc_ = false;
   bool panels_stale_ = false;  // see mutable_weights()
-  // Profiling state: per-op MACs (precomputed), accumulated wall-clock, and
-  // the number of invokes captured while profiling was on.
+  // Profiling state: accumulated wall-clock per op and the number of
+  // invokes captured while profiling was on.
   bool profiling_ = false;
-  std::vector<int64_t> op_macs_;
   std::vector<int64_t> op_wall_ns_;
   int64_t profiled_invocations_ = 0;
-  // Counter-track state: per-op live arena bytes / scratch bytes (from the
-  // plan, fixed at construction) and the optional injected energy table.
+  // Per-op views behind the by-reference accessors, filled at construction:
+  // the serving backend and the live arena bytes (from the plan).
+  std::vector<kernels::BackendKind> op_backend_;
   std::vector<int64_t> op_live_bytes_;
-  std::vector<int64_t> op_scratch_bytes_;
-  std::vector<double> op_energy_uj_;
+  std::vector<double> op_energy_uj_;  // optional injected energy table
 };
 
 }  // namespace mn::rt

@@ -200,6 +200,7 @@ class Reader {
     return s;
   }
   void raw(void* p, size_t n) {
+    if (n == 0) return;  // p may be null (an empty weights blob's data())
     if (n > remaining())
       fail(ErrorCode::kTruncated, "need " + std::to_string(n) + " bytes, have " +
                                       std::to_string(remaining()));

@@ -4,17 +4,6 @@
 
 namespace mn::serve {
 
-const char* fault_kind_name(FaultKind k) {
-  switch (k) {
-    case FaultKind::kNone: return "none";
-    case FaultKind::kWeightsBitFlip: return "weights_bit_flip";
-    case FaultKind::kArenaGuardFlip: return "arena_guard_flip";
-    case FaultKind::kStall: return "stall";
-    case FaultKind::kNonFiniteInput: return "non_finite_input";
-  }
-  return "unknown";
-}
-
 uint64_t ChaosSchedule::fault_seed(int64_t tenant, int64_t seq,
                                    int attempt) const {
   return hash_combine(

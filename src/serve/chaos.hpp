@@ -22,7 +22,6 @@ enum class FaultKind : uint8_t {
   kStall,            // wedged DMA/bus: invoke takes stall_ticks extra
   kNonFiniteInput,   // mic glitch: NaN in the request's input tensor
 };
-const char* fault_kind_name(FaultKind k);
 
 struct ChaosConfig {
   uint64_t seed = 0;

@@ -115,10 +115,6 @@ void ServingEngine::disable_shadow(int tenant) {
   t.shadow_mirror.reset();
 }
 
-bool ServingEngine::shadow_enabled(int tenant) const {
-  return tenants_.at(static_cast<size_t>(tenant)).shadow_variant >= 0;
-}
-
 int64_t ServingEngine::variant_dispatches(int variant) const {
   return variant_dispatches_.at(static_cast<size_t>(variant));
 }
@@ -346,10 +342,8 @@ void ServingEngine::record_breaker_trips(Tenant& t, int64_t before) {
 void ServingEngine::complete(Inflight rec) {
   Tenant& t = tenants_[static_cast<size_t>(rec.req.tenant)];
   --t.inflight;
-  InterpreterPool::Instance& inst = pool_.instance(rec.instance);
   switch (rec.result) {
     case rt::ErrorCode::kOk: {
-      ++inst.served;
       t.breaker.on_success();
       t.watchdog.record_progress();
       t.stall_latched = false;

@@ -86,7 +86,6 @@ class ServingEngine {
   // incumbent as kServedShadowed.
   void enable_shadow(int tenant, int variant);
   void disable_shadow(int tenant);
-  bool shadow_enabled(int tenant) const;
 
   // Dispatches per pool variant (indexed by variant id) — the witness that a
   // rolled-back version received zero traffic after its abort tick.

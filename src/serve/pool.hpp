@@ -1,13 +1,14 @@
-// InterpreterPool: per-model arena pools of pre-planned rt::Interpreter
+// InterpreterPool: per-model arena pools of prepared rt::Interpreter
 // replicas, with instance health checking and quarantine + re-plan.
 //
-// Each registered variant keeps its pristine ModelDef (the "golden flash
-// image") and a MemoryPlan computed exactly once; every replica is built
-// from that shared plan, so adding instances costs arena allocation but no
-// re-planning. A replica whose live memory drifts from the golden image —
+// Each registered variant is compiled, planned, packed and prepared exactly
+// once into a golden interpreter that never serves; every replica is a copy
+// of it, so adding instances costs a flash-image and arena copy but no
+// re-planning, re-packing or re-preparing (the copies alias the golden's
+// packed panels). A replica whose live memory drifts from the golden image —
 // weights-CRC mismatch or a clobbered arena guard band — is quarantined:
-// rebuilt from the pristine model + shared plan and held out of rotation
-// for a cooldown before it serves again.
+// re-copied from the golden interpreter and held out of rotation for a
+// cooldown before it serves again.
 #pragma once
 
 #include <memory>
@@ -25,7 +26,6 @@ class InterpreterPool {
     std::unique_ptr<rt::Interpreter> interp;
     int variant = -1;
     Tick busy_until = 0;   // virtual tick at which the replica frees up
-    int64_t served = 0;    // completed invokes
     int64_t rebuilds = 0;  // quarantine + re-plan events
   };
 
@@ -40,30 +40,24 @@ class InterpreterPool {
   Tick service_ticks(int variant) const {
     return variants_[static_cast<size_t>(variant)].service_ticks;
   }
-  // Replica / invoke accounting for one variant (0 instances after all its
-  // replicas were re-imaged onto another variant during a rollback).
+  // Replicas serving one variant (0 after all its replicas were re-imaged
+  // onto another variant during a rollback).
   int instances_of(int variant) const;
-  int64_t variant_served(int variant) const;
 
-  // The golden flash image and the shared plan a variant's replicas are
-  // built from (the rollout controller mirrors shadow traffic and golden
-  // vectors against these).
+  // The golden flash image a variant's replicas are copied from.
   const rt::ModelDef& pristine(int variant) const {
-    return variants_[static_cast<size_t>(variant)].pristine;
+    return variants_[static_cast<size_t>(variant)].golden.model();
   }
-  // A fresh replica of `variant` (pristine image + shared plan and panels,
-  // per-invoke CRC verification armed). The pool builds its own instances
-  // and quarantine/reimage rebuilds through it; returned standalone it is
-  // NOT entered into the pool — used for shadow mirrors and bit-equivalence
-  // checks.
+  // A fresh replica of `variant`: a copy of its golden interpreter (shared
+  // panels, per-invoke CRC verification armed). The pool builds its own
+  // instances and quarantine/reimage rebuilds through it; returned
+  // standalone it is NOT entered into the pool — used for shadow mirrors and
+  // bit-equivalence checks.
   std::unique_ptr<rt::Interpreter> make_replica(int variant) const;
 
   // Lowest-index healthy replica of `variant` free at `now`, or -1. Does not
   // mark it busy — the engine stamps busy_until with the completion tick.
   int acquire(int variant, Tick now) const;
-
-  // Free replicas of `variant` at `now`.
-  int free_instances(int variant, Tick now) const;
 
   Instance& instance(int idx) { return instances_[static_cast<size_t>(idx)]; }
   const Instance& instance(int idx) const {
@@ -74,15 +68,16 @@ class InterpreterPool {
   }
 
   // Canary + integrity scan of an (idle) replica: arena guard bands intact
-  // and live weights CRC equal to the golden image's.
+  // and live weights CRC equal to the golden image's (the replica's own
+  // check_canaries() and check_weights()).
   std::optional<rt::RtError> health_check(int idx) const;
 
-  // Quarantine + re-plan: rebuild the replica from the pristine model and
-  // the shared plan, and hold it out of rotation until `until`.
+  // Quarantine + re-plan: re-copy the replica from its variant's golden
+  // interpreter, and hold it out of rotation until `until`.
   void quarantine(int idx, Tick until);
 
-  // Re-image: rebuild the replica from *another* variant's pristine model
-  // and shared plan — the OTA flash-rollback analog. The replica leaves its
+  // Re-image: re-copy the replica from *another* variant's golden
+  // interpreter — the OTA flash-rollback analog. The replica leaves its
   // old variant's rotation entirely (instances_of drops) and serves the
   // target variant after the cooldown. quarantine() is re-image onto the
   // replica's own variant.
@@ -94,27 +89,22 @@ class InterpreterPool {
 
   // Kernel backend a variant's replicas execute on.
   kernels::BackendKind variant_backend(int variant) const {
-    return variants_[static_cast<size_t>(variant)].backend.kind;
+    return variants_[static_cast<size_t>(variant)].golden.backend();
   }
 
   // Graph-compiler report for a variant (enabled == false when the variant
   // was registered with compilation off). Compilation runs once per variant
-  // at add_variant; replicas share its result like the plan and the panels.
+  // at add_variant; replicas are copies of the compiled golden interpreter.
   const compile::CompileReport& compile_report(int variant) const {
     return variants_[static_cast<size_t>(variant)].compile_report;
   }
 
  private:
   struct Variant {
-    rt::ModelDef pristine;
-    rt::MemoryPlan plan;
-    // Packed once alongside the plan; every replica (incl. quarantine and
-    // reimage rebuilds) aliases the same immutable panels.
-    kernels::BackendConfig backend{};
-    std::shared_ptr<const rt::PackedModel> packed;
+    // Prepared once, never invoked: the source of every replica copy.
+    rt::Interpreter golden;
     compile::CompileReport compile_report;
     Tick service_ticks = 1;
-    uint32_t weights_crc = 0;
   };
 
   std::vector<Variant> variants_;

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "kernels/backend.hpp"
@@ -622,6 +624,36 @@ TEST(BackendInterpreter, UndetectedWeightFlipReachesFastCompute) {
     ASSERT_FALSE(caught.ok());
     EXPECT_EQ(caught.error().code, rt::ErrorCode::kCrcMismatch);
     EXPECT_EQ(guarded.packed_model().get(), packed.get());
+  }
+}
+
+// A flash fault can set a bias to any value after load, past the bound
+// ModelDef::check proved. Accumulation then wraps (defined behaviour, and
+// what the SIMD paths do natively), so fast and reference still agree byte
+// for byte; under -DMN_SANITIZE=ON this test aborts on any signed overflow.
+TEST(BackendInterpreter, ExtremeBiasIsDefinedAndBackendsAgree) {
+  const rt::ModelDef m = tiny_model(7);
+  rt::Interpreter ref(m, {}, kernels::BackendConfig::reference());
+  rt::Interpreter fast(m, {}, kernels::BackendConfig::fast());
+  const int32_t extremes[] = {std::numeric_limits<int32_t>::max(),
+                              std::numeric_limits<int32_t>::min(),
+                              std::numeric_limits<int32_t>::max() - 3};
+  int biased = 0;
+  for (rt::Interpreter* interp : {&ref, &fast}) {
+    std::span<uint8_t> blob = interp->mutable_weights();
+    for (const rt::OpDef& op : m.ops) {
+      if (op.inputs.size() < 3 || op.inputs[2] < 0) continue;
+      const rt::TensorDef& b = m.tensors[static_cast<size_t>(op.inputs[2])];
+      for (int64_t k = 0; k < b.elements(); ++k)
+        std::memcpy(blob.data() + b.blob_offset + 4 * k, &extremes[k % 3], 4);
+      ++biased;
+    }
+  }
+  ASSERT_GT(biased, 0);
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    const TensorI8 in = random_input(m, 90 + seed);
+    EXPECT_TRUE(fast.invoke_quantized(in) == ref.invoke_quantized(in))
+        << "seed " << seed;
   }
 }
 

@@ -249,19 +249,6 @@ TEST(CompilePasses, ActivationFusionRecoversConverterFusedForm) {
   EXPECT_EQ(r.passes[0].pass, "fuse_activations");
   EXPECT_EQ(r.passes[0].activations_fused,
             static_cast<int64_t>(naive.ops.size() - fused.ops.size()));
-  // Fusion metadata: valid op indices, matching act, stable output names.
-  ASSERT_EQ(r.fused_activations.size(),
-            static_cast<size_t>(r.passes[0].activations_fused));
-  // The recorded act may legitimately be kNone: a relu-range output whose
-  // zero point sits at qmin makes the clamp vacuous, and the pipeline picks
-  // the weakest bit-exact activation.
-  for (const FusedActivation& f : r.fused_activations) {
-    ASSERT_GE(f.op_index, 0);
-    ASSERT_LT(f.op_index, static_cast<int>(m.ops.size()));
-    const OpDef& op = m.ops[static_cast<size_t>(f.op_index)];
-    EXPECT_EQ(op.act, f.act);
-    EXPECT_EQ(m.tensors[static_cast<size_t>(op.output)].name, f.output_name);
-  }
   verify_bit_identical(naive, m, /*seed=*/13, /*trials=*/4);
 }
 

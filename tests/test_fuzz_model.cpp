@@ -172,6 +172,37 @@ TEST(FuzzModel, EmptyAndTinyInputs) {
   }
 }
 
+TEST(FuzzModel, ModelWithoutConstTensorsRoundTrips) {
+  // A lone pool op has no weights: the image carries an empty blob, which
+  // the parser must read as zero bytes (no copy into a null buffer).
+  ModelDef m;
+  m.name = "lone_pool";
+  TensorDef t;
+  t.shape = Shape{4, 4, 2};
+  t.qp = {0.05f, 3};
+  t.name = "in";
+  m.tensors.push_back(t);
+  t.name = "out";
+  m.tensors.push_back(t);
+  OpDef op;
+  op.type = OpType::kMaxPool2D;
+  op.inputs = {0};
+  op.output = 1;
+  op.kh = op.kw = 2;
+  op.pad_h = op.pad_w = 1;
+  m.ops.push_back(op);
+  m.input_tensor = 0;
+  m.output_tensor = 1;
+  const std::vector<uint8_t> bytes = m.serialize();
+  const auto r = ModelDef::try_deserialize(bytes);
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  const ModelDef& back = r.value();
+  EXPECT_TRUE(back.weights_blob.empty());
+  EXPECT_EQ(back.serialize(), bytes);
+  const TensorF img(Shape{4, 4, 2}, 0.3f);
+  EXPECT_TRUE(Interpreter(back).invoke(img) == Interpreter(m).invoke(img));
+}
+
 TEST(FuzzModel, StructuralSeedsForHardenedCheck) {
   // Deterministic seeds for the hardened ModelDef::check(): each mutates a
   // valid model *in memory* and round-trips through serialize(), so the V2

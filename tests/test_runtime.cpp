@@ -166,20 +166,153 @@ TEST(Planner, DeadTensorNeverReadThrows) {
   }
 }
 
-TEST(Interpreter, MixedPrecisionConvIsRejected) {
-  // int4 weights driving int8 activations is not a supported kernel combo;
-  // the throwing path raises and the hardened path reports kUnsupportedOp.
-  ModelDef m = tiny_model(15);
-  const OpDef& stem = m.ops.front();
-  ASSERT_EQ(stem.type, OpType::kConv2D);
-  m.tensors[static_cast<size_t>(stem.inputs[1])].bits = 4;
+// One op reading the model input and writing the model output, both
+// activations {4, 4, 2} at `bits` (pools take a 1x1 window).
+ModelDef single_op_model(OpType type, int bits) {
+  ModelDef m;
+  m.name = "single_op";
+  TensorDef in;
+  in.name = "in";
+  in.shape = Shape{4, 4, 2};
+  in.qp = {0.05f, 0};
+  in.bits = bits;
+  TensorDef out = in;
+  out.name = "out";
+  if (type == OpType::kSoftmax) out.qp = {1.f / 256.f, -128};
+  m.tensors = {in, out};
+  OpDef op;
+  op.type = type;
+  op.inputs = type == OpType::kAdd ? std::vector<int>{0, 0} : std::vector<int>{0};
+  op.output = 1;
+  op.kh = op.kw = 1;
+  m.ops = {op};
+  m.input_tensor = 0;
+  m.output_tensor = 1;
+  return m;
+}
+
+// Every op/precision combination the kernels cannot execute: the model
+// still constructs, each invoke fails with kUnsupportedOp naming it.
+struct UnsupportedCase {
+  const char* name;
+  ModelDef (*make)();
+  const char* message;
+};
+
+class InterpreterUnsupported : public ::testing::TestWithParam<UnsupportedCase> {};
+
+TEST_P(InterpreterUnsupported, ConstructsAndEveryInvokeFails) {
+  const UnsupportedCase& c = GetParam();
+  ModelDef m = c.make();
+  const TensorDef& in_t = m.tensors[static_cast<size_t>(m.input_tensor)];
+  const TensorF img(in_t.shape, 0.2f);
   Interpreter interp(std::move(m));
-  const TensorF img(Shape{12, 8, 1}, 0.2f);
-  const auto r = interp.try_invoke(img);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.code(), ErrorCode::kUnsupportedOp);
-  EXPECT_NE(r.error().message.find("mixed-precision"), std::string::npos);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const auto r = interp.try_invoke(img);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.code(), ErrorCode::kUnsupportedOp);
+    EXPECT_EQ(r.error().message, c.message);
+  }
   EXPECT_THROW(interp.invoke(img), std::runtime_error);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Interpreter, InterpreterUnsupported,
+    ::testing::Values(
+        UnsupportedCase{"ActivationBits",
+                        [] { return single_op_model(OpType::kAvgPool2D, 2); },
+                        "Interpreter: unsupported activation bits"},
+        // int4 weights driving int8 activations.
+        UnsupportedCase{"MixedPrecisionConv",
+                        [] {
+                          ModelDef m = tiny_model(15);
+                          EXPECT_EQ(m.ops.front().type, OpType::kConv2D);
+                          m.tensors[static_cast<size_t>(m.ops.front().inputs[1])]
+                              .bits = 4;
+                          return m;
+                        },
+                        "Interpreter: mixed-precision conv unsupported"},
+        UnsupportedCase{"MixedPrecisionDepthwise",
+                        [] {
+                          ModelDef m = tiny_model(15);
+                          for (const OpDef& op : m.ops)
+                            if (op.type == OpType::kDepthwiseConv2D) {
+                              m.tensors[static_cast<size_t>(op.inputs[1])].bits = 4;
+                              break;
+                            }
+                          return m;
+                        },
+                        "Interpreter: mixed-precision dwconv unsupported"},
+        UnsupportedCase{"Int4MaxPool",
+                        [] { return single_op_model(OpType::kMaxPool2D, 4); },
+                        "Interpreter: int4 max pool unsupported"},
+        UnsupportedCase{"Int4Add",
+                        [] { return single_op_model(OpType::kAdd, 4); },
+                        "Interpreter: int4 add unsupported"},
+        UnsupportedCase{"Int4Softmax",
+                        [] { return single_op_model(OpType::kSoftmax, 4); },
+                        "Interpreter: int4 softmax unsupported"}),
+    [](const ::testing::TestParamInfo<UnsupportedCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(Interpreter, SingleOpModelsRunAtInt8) {
+  // The unsupported cases above differ from these runnable models only in
+  // the precision they ask for.
+  for (OpType t : {OpType::kAvgPool2D, OpType::kMaxPool2D, OpType::kAdd,
+                   OpType::kSoftmax}) {
+    Interpreter interp(single_op_model(t, 8));
+    EXPECT_TRUE(interp.try_invoke(TensorF(Shape{4, 4, 2}, 0.2f)).ok())
+        << op_type_name(t);
+  }
+}
+
+// A copy is an independent replica: same output, same shared panels, and a
+// fault in one copy's flash or SRAM never reaches the other.
+TEST(Interpreter, CopyIsAnIndependentReplica) {
+  Interpreter a(tiny_model(21));
+  const Interpreter b = a;
+  ASSERT_NE(a.packed_model(), nullptr);
+  EXPECT_EQ(a.packed_model().get(), b.packed_model().get());
+  const TensorDef& in_t = a.model().tensors[static_cast<size_t>(a.model().input_tensor)];
+  Rng rng(21);
+  TensorF img(in_t.shape);
+  for (int64_t i = 0; i < img.size(); ++i)
+    img[i] = static_cast<float>(rng.normal(0.0, 0.5));
+  const TensorI8 q = quant::quantize(img, in_t.qp, in_t.bits);
+  const TensorI8 clean = a.invoke_quantized(q);
+  EXPECT_TRUE(Interpreter(b).invoke_quantized(q) == clean);
+
+  // Flip every weight byte of one copy: only that copy's output and health
+  // change. Then the roles swap.
+  for (int round = 0; round < 2; ++round) {
+    Interpreter c = a;
+    Interpreter& hit = round == 0 ? c : a;
+    Interpreter& other = round == 0 ? a : c;
+    for (uint8_t& byte : hit.mutable_weights()) byte ^= 0x55;
+    EXPECT_TRUE(hit.check_weights().has_value());
+    EXPECT_FALSE(other.check_weights().has_value());
+    EXPECT_FALSE(hit.invoke_quantized(q) == clean);
+    EXPECT_TRUE(other.invoke_quantized(q) == clean);
+    EXPECT_NE(hit.packed_model().get(), other.packed_model().get());
+    for (uint8_t& byte : hit.mutable_weights()) byte ^= 0x55;  // restore
+    EXPECT_TRUE(hit.invoke_quantized(q) == clean);
+  }
+
+  // Clobber one copy's leading guard band: only that copy fails.
+  for (int round = 0; round < 2; ++round) {
+    Interpreter c = a;
+    Interpreter& hit = round == 0 ? c : a;
+    Interpreter& other = round == 0 ? a : c;
+    hit.mutable_arena()[0] ^= 0xFF;
+    EXPECT_TRUE(hit.check_canaries().has_value());
+    EXPECT_FALSE(other.check_canaries().has_value());
+    const auto r = hit.try_invoke_quantized(q);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.code(), ErrorCode::kArenaOverrun);
+    EXPECT_TRUE(other.invoke_quantized(q) == clean);
+    hit.mutable_arena()[0] ^= 0xFF;  // restore
+  }
 }
 
 TEST(Converter, FoldsBatchNormExactly) {

@@ -1,21 +1,18 @@
 // mn_regress: the CI perf/memory regression gate.
 //
 // Usage:
-//   mn_regress [--rel-tol F] [--r2-drop F] [--tail-headroom F]
-//              [--shed-slack F] [--throughput-drop F] [--promotion-slack F]
-//              [--speedup-floor F] [--arena-peak-slack F] [--p999-headroom F]
-//              BASELINE CURRENT [BASELINE CURRENT]...
+//   mn_regress BASELINE CURRENT [BASELINE CURRENT]...
 //
 // Each (BASELINE, CURRENT) pair is a committed bench/baselines/BENCH_*.json
 // and the BENCH_*.json a fresh bench run just wrote. For every pair the gate
 // prints a per-metric PASS/FAIL table (rule chosen by metric name — see
 // regress_core.hpp) and exits nonzero if any metric fails, naming the
-// offenders so the CI log says exactly what regressed.
+// offenders so the CI log says exactly what regressed. The tolerances are
+// the RegressConfig defaults; there is one gate, not a tunable one.
 //
 // Wired up as `cmake --build build --target check-regression`, which runs
 // the fig2/fig3/fig4/fig5 benches into build/regress/ and then this tool.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -37,43 +34,18 @@ bool read_file(const std::string& path, std::string* out) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: mn_regress [--rel-tol F] [--r2-drop F] "
-               "[--tail-headroom F] [--shed-slack F] [--throughput-drop F] "
-               "[--promotion-slack F] [--speedup-floor F] "
-               "[--arena-peak-slack F] [--p999-headroom F] "
-               "BASELINE CURRENT [BASELINE CURRENT]...\n");
+               "usage: mn_regress BASELINE CURRENT [BASELINE CURRENT]...\n");
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  mn::tools::RegressConfig cfg;
+  const mn::tools::RegressConfig cfg;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--rel-tol") == 0 && i + 1 < argc) {
-      cfg.rel_tol = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--r2-drop") == 0 && i + 1 < argc) {
-      cfg.r2_drop = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--tail-headroom") == 0 && i + 1 < argc) {
-      cfg.tail_headroom = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--shed-slack") == 0 && i + 1 < argc) {
-      cfg.shed_slack = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--throughput-drop") == 0 && i + 1 < argc) {
-      cfg.throughput_drop = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--promotion-slack") == 0 && i + 1 < argc) {
-      cfg.promotion_slack = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--speedup-floor") == 0 && i + 1 < argc) {
-      cfg.speedup_floor = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--arena-peak-slack") == 0 && i + 1 < argc) {
-      cfg.arena_peak_slack = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--p999-headroom") == 0 && i + 1 < argc) {
-      cfg.p999_headroom = std::stod(argv[++i]);
-    } else if (argv[i][0] == '-') {
-      return usage();
-    } else {
-      paths.push_back(argv[i]);
-    }
+    if (argv[i][0] == '-') return usage();
+    paths.push_back(argv[i]);
   }
   if (paths.empty() || paths.size() % 2 != 0) return usage();
 
