@@ -12,6 +12,10 @@
 //   conv_backend_speedup_min                          worst gated-shape ratio
 //   dw_<shape>_...                                    the same, depthwise
 //   dw_backend_speedup_min                            worst depthwise ratio
+//   kws_pw_<shape>_...                                the same, KWS-M's 1x1
+//                                                     convs on the direct
+//                                                     pointwise path
+//   pw_backend_speedup_min                            worst pointwise ratio
 //   ab_mismatch_count                                 bytes that differed (0)
 //
 // The regression gate (tools/mn_regress) holds every *_backend_speedup
@@ -19,7 +23,9 @@
 // backend must earn >=2x on the machine the gate runs on, not merely match a
 // committed baseline. ab_mismatch_count is an exact-match metric — one
 // differing byte fails CI. Timings run single-threaded (parallel::
-// set_threads(1)) so the ratio measures the kernel, not the scheduler.
+// set_threads(1)) so the ratio measures the kernel, not the scheduler. The
+// fast kernels run the variant an Interpreter on this host would pick
+// (kernels::host_isa(), printed in the header line).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -108,6 +114,8 @@ int main(int argc, char** argv) {
   // Single-threaded timing: the speedup should measure the packed-GEMM
   // kernel, not how many workers the host happens to have.
   parallel::set_threads(1);
+  const kernels::Isa isa = kernels::host_isa();
+  std::printf("  fast kernels: %s variant\n", kernels::isa_name(isa));
 
   const int reps = opt.full ? 9 : 5;
   const int iters = opt.full ? 40 : 12;
@@ -152,7 +160,7 @@ int main(int argc, char** argv) {
     kernels::conv2d_s8_im2col(x.span(), w.span(), bias, y_ref.span(),
                               ref_scratch, g, rq);
     kernels::conv2d_s8_fast(x.span(), packed, bias, y_fast.span(), fast_scratch,
-                            g, rq);
+                            g, rq, isa);
     for (int64_t i = 0; i < y_ref.size(); ++i)
       if (y_ref[i] != y_fast[i]) ++mismatches;
 
@@ -162,7 +170,7 @@ int main(int argc, char** argv) {
     });
     const double fast_us = median_us_per_call(reps, iters, [&] {
       kernels::conv2d_s8_fast(x.span(), packed, bias, y_fast.span(),
-                              fast_scratch, g, rq);
+                              fast_scratch, g, rq, isa);
     });
     const double speedup = ref_us / fast_us;
     if (c.gate) min_conv_speedup = std::min(min_conv_speedup, speedup);
@@ -201,7 +209,7 @@ int main(int argc, char** argv) {
 
     kernels::depthwise_conv2d_s8(x.span(), w.span(), bias, y_ref.span(), g, rq);
     kernels::depthwise_conv2d_s8_fast(x.span(), packed, bias, y_fast.span(), g,
-                                      rq);
+                                      rq, isa);
     for (int64_t i = 0; i < y_ref.size(); ++i)
       if (y_ref[i] != y_fast[i]) ++mismatches;
 
@@ -211,7 +219,7 @@ int main(int argc, char** argv) {
     });
     const double fast_us = median_us_per_call(reps, iters, [&] {
       kernels::depthwise_conv2d_s8_fast(x.span(), packed, bias, y_fast.span(),
-                                        g, rq);
+                                        g, rq, isa);
     });
     const double speedup = ref_us / fast_us;
     min_dw_speedup = std::min(min_dw_speedup, speedup);
@@ -223,6 +231,61 @@ int main(int argc, char** argv) {
     report.metric(key + "_backend_speedup", speedup);
   }
   report.metric("dw_backend_speedup_min", min_dw_speedup);
+
+  // KWS-M's six 1x1 convs (25x5 pixels, in -> out channels), on the direct
+  // pointwise path the interpreter dispatches them to.
+  const std::vector<ConvCase> pw_cases = {
+      {"kws_pw_25x5x128_132", geom(25, 5, 128, 132, 1, 1, 1, 0, 0)},
+      {"kws_pw_25x5x132_144", geom(25, 5, 132, 144, 1, 1, 1, 0, 0)},
+      {"kws_pw_25x5x144_152", geom(25, 5, 144, 152, 1, 1, 1, 0, 0)},
+      {"kws_pw_25x5x152_160", geom(25, 5, 152, 160, 1, 1, 1, 0, 0)},
+      {"kws_pw_25x5x160_160", geom(25, 5, 160, 160, 1, 1, 1, 0, 0)},
+      {"kws_pw_25x5x160_128", geom(25, 5, 160, 128, 1, 1, 1, 0, 0)},
+  };
+  double min_pw_speedup = 1e30;
+
+  report.phase("pw_ab");
+  for (const ConvCase& c : pw_cases) {
+    const kernels::ConvGeometry& g = c.g;
+    Rng rng(opt.seed + 3);
+    TensorI8 x(Shape{g.in_h, g.in_w, g.in_ch});
+    TensorI8 w(Shape{g.out_ch, 1, 1, g.in_ch});
+    TensorI8 y_ref(Shape{g.out_h, g.out_w, g.out_ch});
+    TensorI8 y_fast(Shape{g.out_h, g.out_w, g.out_ch});
+    fill_s8(x, rng);
+    fill_s8(w, rng);
+    std::vector<int32_t> bias(static_cast<size_t>(g.out_ch));
+    for (auto& b : bias) b = static_cast<int32_t>(rng.uniform_int(-4096, 4096));
+    const kernels::RequantParams rq = default_rq();
+    std::vector<int8_t> ref_scratch(
+        static_cast<size_t>(kernels::conv2d_scratch_bytes(g)));
+    const kernels::PackedOpWeights packed =
+        kernels::pack_rows_s8(w.span(), g.out_ch, g.in_ch);
+
+    kernels::conv2d_s8_im2col(x.span(), w.span(), bias, y_ref.span(),
+                              ref_scratch, g, rq);
+    kernels::conv2d_s8_1x1_fast(x.span(), packed, bias, y_fast.span(), g, rq,
+                                isa);
+    for (int64_t i = 0; i < y_ref.size(); ++i)
+      if (y_ref[i] != y_fast[i]) ++mismatches;
+
+    const double ref_us = median_us_per_call(reps, iters, [&] {
+      kernels::conv2d_s8_im2col(x.span(), w.span(), bias, y_ref.span(),
+                                ref_scratch, g, rq);
+    });
+    const double fast_us = median_us_per_call(reps, iters, [&] {
+      kernels::conv2d_s8_1x1_fast(x.span(), packed, bias, y_fast.span(), g,
+                                  rq, isa);
+    });
+    const double speedup = ref_us / fast_us;
+    min_pw_speedup = std::min(min_pw_speedup, speedup);
+    std::printf("  %-22s ref %8.2f us  fast %8.2f us  speedup %5.2fx\n",
+                c.name, ref_us, fast_us, speedup);
+    report.metric(std::string(c.name) + "_reference_us_p50", ref_us);
+    report.metric(std::string(c.name) + "_fast_us_p50", fast_us);
+    report.metric(std::string(c.name) + "_backend_speedup", speedup);
+  }
+  report.metric("pw_backend_speedup_min", min_pw_speedup);
 
   report.phase("fc_ab");
   {
@@ -239,7 +302,7 @@ int main(int argc, char** argv) {
     kernels::fully_connected_s8(x.span(), w.span(), {}, y_ref.span(), in_f,
                                 out_f, rq);
     kernels::fully_connected_s8_fast(x.span(), packed, {}, y_fast.span(), in_f,
-                                     out_f, rq);
+                                     out_f, rq, isa);
     for (int64_t i = 0; i < y_ref.size(); ++i)
       if (y_ref[i] != y_fast[i]) ++mismatches;
 
@@ -249,7 +312,7 @@ int main(int argc, char** argv) {
     });
     const double fast_us = median_us_per_call(reps, iters * 4, [&] {
       kernels::fully_connected_s8_fast(x.span(), packed, {}, y_fast.span(),
-                                       in_f, out_f, rq);
+                                       in_f, out_f, rq, isa);
     });
     const double speedup = ref_us / fast_us;
     std::printf("  %-22s ref %8.2f us  fast %8.2f us  speedup %5.2fx\n",
@@ -262,8 +325,8 @@ int main(int argc, char** argv) {
   report.metric("ab_mismatch_count", static_cast<double>(mismatches));
   report.metric("conv_shapes_count", static_cast<double>(conv_cases.size()));
   std::printf("  min conv speedup %.2fx, min dw speedup %.2fx, "
-              "mismatched bytes %lld\n",
-              min_conv_speedup, min_dw_speedup,
+              "min pw speedup %.2fx, mismatched bytes %lld\n",
+              min_conv_speedup, min_dw_speedup, min_pw_speedup,
               static_cast<long long>(mismatches));
 
   parallel::set_threads(0);

@@ -12,6 +12,31 @@ const char* backend_name(BackendKind k) {
   return "?";
 }
 
+const char* isa_name(Isa isa) {
+  switch (isa) {
+    case Isa::kBaseline: return "baseline";
+    case Isa::kAvx2: return "avx2";
+  }
+  return "?";
+}
+
+bool isa_supported(Isa isa) {
+  switch (isa) {
+    case Isa::kBaseline: return true;
+    case Isa::kAvx2:
+#if defined(__x86_64__) || defined(__i386__)
+      return __builtin_cpu_supports("avx2");
+#else
+      return false;
+#endif
+  }
+  return false;
+}
+
+Isa host_isa() {
+  return isa_supported(Isa::kAvx2) ? Isa::kAvx2 : Isa::kBaseline;
+}
+
 PackedOpWeights pack_rows_s8(std::span<const int8_t> weights, int64_t num_rows,
                              int64_t row_len) {
   PackedOpWeights p;
@@ -24,9 +49,11 @@ PackedOpWeights pack_rows_s8(std::span<const int8_t> weights, int64_t num_rows,
     const int8_t* src = weights.data() + r * row_len;
     std::memcpy(p.rows.data() + r * p.row_stride, src,
                 static_cast<size_t>(row_len));
-    int32_t s = 0;
-    for (int64_t k = 0; k < row_len; ++k) s += src[k];
-    p.sum_w[static_cast<size_t>(r)] = s;
+    // Wrapping, like the kernels' sums: repacking after a weight fault
+    // (Interpreter::mutable_weights) must stay defined for any row length.
+    uint32_t s = 0;
+    for (int64_t k = 0; k < row_len; ++k) s += static_cast<uint32_t>(src[k]);
+    p.sum_w[static_cast<size_t>(r)] = static_cast<int32_t>(s);
   }
   return p;
 }

@@ -8,25 +8,39 @@
 //
 //   kReference — the single-strategy loops in kernels_s8/s4/opt.cpp. The
 //     semantic ground truth: every other backend must match it byte-for-byte.
-//   kFast — cache-blocked im2col-GEMM (kernels_fast.cpp): weight panels
-//     packed once at model-load time (16-byte row stride, zero-point
-//     correction sums), a block of output-pixel columns gathered per GEMM
-//     call so each weight row is streamed once per block instead of once per
-//     pixel, SSE2 pmaddwd inner dot products on x86-64 (exact integer
-//     arithmetic — never a source of divergence) with a scalar fallback
-//     elsewhere, and requant→activation-clamp fused into the store exactly
-//     like the reference kernels. Depthwise conv runs channel-vectorised
-//     over per-tap weight rows (SSE2 over 8 channels, exact int16 products,
-//     taps clamped once per output pixel). Claims int8 conv2d, depthwise and
+//   kFast — GEMM over weight panels packed once at model-load time (16-byte
+//     row stride, zero-point correction sums; kernels_fast.cpp):
+//       * 1x1 conv (stride 1, no padding) runs a direct pointwise kernel that
+//         reads the input pixels in place — no gather, no scratch — over a
+//         pixel range (the unit a banded dw->pw path can reuse);
+//       * every other conv gathers a block of im2col columns and runs the
+//         same pointwise kernel over the block;
+//       * depthwise runs channel-vectorised over per-tap weight rows (SSE2
+//         over 8 channels, exact int16 products, taps clamped once per
+//         output pixel);
+//       * FC dots each packed row against the input.
+//     Every kernel leaves int32 dot sums in a row and hands the row to one
+//     requant epilogue that adds the zero-point/bias initializer,
+//     requantizes, clamps and narrows. Claims int8 conv2d, depthwise and
 //     fully-connected with const weights and an int8 input zero point;
 //     pool/add/softmax and all int4 ops fall back.
 //
-// The contract that makes a second backend safe at all: for every geometry
-// and every MN_THREADS, a claimed op's output is BYTE-IDENTICAL to the
-// reference kernel's (tests/test_backends.cpp). Integer accumulation is
+// Instruction-set variants (Isa). The pointwise kernel and the epilogue have
+// an AVX2 variant: a register tile of 4 output channels x 3 pixels of
+// vpmaddwd accumulators reduced once per tile, and a requant over 8 lanes
+// with 64-bit vpmuldq products. kBaseline is the SSE2 path (x86-64's build
+// baseline; scalar elsewhere) with the scalar epilogue, and stays as the
+// fallback. The Interpreter picks the variant once at construction from the
+// CPU (host_isa()); there is no knob.
+//
+// The contract that makes a second backend safe at all: for every geometry,
+// every Isa and every MN_THREADS, a claimed op's output is BYTE-IDENTICAL to
+// the reference kernel's (tests/test_backends.cpp). Integer accumulation is
 // order-free (no rounding), so tiling/SIMD reassociation cannot change
-// results — which is why golden vectors, resume equivalence and serving
-// fingerprints carry over unchanged whichever backend served the op.
+// results, and the vector requant reproduces
+// quant::multiply_by_quantized_multiplier lane for lane — which is why
+// golden vectors, resume equivalence and serving fingerprints carry over
+// unchanged whichever backend and variant served the op.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +69,20 @@ struct BackendConfig {
   static BackendConfig reference() { return {BackendKind::kReference}; }
   static BackendConfig fast() { return {BackendKind::kFast}; }
 };
+
+// Instruction-set variant of the fast kernels (see the header comment).
+enum class Isa : uint8_t {
+  kBaseline = 0,  // SSE2 on x86-64, scalar elsewhere
+  kAvx2,
+};
+
+// "baseline" / "avx2".
+const char* isa_name(Isa isa);
+// True when this build has the variant and this CPU can run it.
+bool isa_supported(Isa isa);
+// The fastest supported variant (__builtin_cpu_supports): what an
+// Interpreter records at construction.
+Isa host_isa();
 
 // --- packed weight panels (fast backend, built once at model load) ----------
 
@@ -89,6 +117,19 @@ PackedOpWeights pack_rows_s8(std::span<const int8_t> weights, int64_t num_rows,
                              int64_t row_len);
 
 // --- fast-backend kernels ---------------------------------------------------
+// Every entry point takes the Isa variant to run and throws
+// std::invalid_argument for one isa_supported() rejects.
+
+// The requant epilogue: for k < acc.size(),
+//   out[k] = requantize(acc[k] - input_zp * sum_w[c0 + k] + bias[c0 + k])
+// with wrapping adds, clamped to [act_min, act_max] and narrowed to int8
+// (sum_w and bias may be empty: no such term). Bit-identical to
+// RequantParams::requantize on every lane for every Isa; the multipliers and
+// shifts are read from `rq` (per_channel, or mult broadcast).
+void requant_row_s8(std::span<const int32_t> acc, int32_t c0,
+                    std::span<const int32_t> sum_w,
+                    std::span<const int32_t> bias, const RequantParams& rq,
+                    std::span<int8_t> out, Isa isa);
 
 // Output-pixel columns gathered per GEMM call (the cache block): each packed
 // weight row is read once per block instead of once per pixel.
@@ -105,7 +146,20 @@ int64_t conv2d_fast_scratch_bytes(const ConvGeometry& g);
 void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed,
                     std::span<const int32_t> bias, std::span<int8_t> output,
                     std::span<int8_t> scratch, const ConvGeometry& g,
-                    const RequantParams& rq);
+                    const RequantParams& rq, Isa isa);
+
+// True for the geometries conv2d_s8_1x1_fast runs: a 1x1 kernel at stride 1
+// without padding, so output pixel p reads exactly input pixel p.
+bool is_pointwise(const ConvGeometry& g);
+
+// Direct 1x1 conv, bit-identical to conv2d_s8 for is_pointwise(g). Reads
+// the input in place and needs no scratch; row-parallel with the reference
+// kernels' chunking, each chunk one call of the pointwise kernel over its
+// pixel range.
+void conv2d_s8_1x1_fast(std::span<const int8_t> input,
+                        const PackedOpWeights& packed,
+                        std::span<const int32_t> bias, std::span<int8_t> output,
+                        const ConvGeometry& g, const RequantParams& rq, Isa isa);
 
 // Depthwise conv2d (multiplier 1), bit-identical to depthwise_conv2d_s8.
 // `packed` must come from pack_rows_s8(weights, kh*kw, ch) and
@@ -115,13 +169,14 @@ void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
                               const PackedOpWeights& packed,
                               std::span<const int32_t> bias,
                               std::span<int8_t> output, const ConvGeometry& g,
-                              const RequantParams& rq);
+                              const RequantParams& rq, Isa isa);
 
 // Fully connected on a packed panel, bit-identical to fully_connected_s8.
 void fully_connected_s8_fast(std::span<const int8_t> input,
                              const PackedOpWeights& packed,
                              std::span<const int32_t> bias,
                              std::span<int8_t> output, int32_t in_features,
-                             int32_t out_features, const RequantParams& rq);
+                             int32_t out_features, const RequantParams& rq,
+                             Isa isa);
 
 }  // namespace mn::kernels

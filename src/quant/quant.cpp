@@ -84,6 +84,13 @@ int32_t multiply_by_quantized_multiplier(int32_t x, FixedMultiplier m) {
   // Apply shift: left shifts scale up, right shifts round to nearest
   // (matching gemmlowp's RoundingDivideByPOT).
   if (m.shift > 0) {
+    // Any nonzero value shifted by 32 or more leaves int32: saturate by
+    // sign without the (undefined) int64 shift by >= 64, and without the
+    // wrap a shift by 32..63 could push into the sign bit.
+    if (m.shift >= 32)
+      return high > 0   ? std::numeric_limits<int32_t>::max()
+             : high < 0 ? std::numeric_limits<int32_t>::min()
+                        : 0;
     const int64_t shifted = static_cast<int64_t>(high) << m.shift;
     if (shifted > std::numeric_limits<int32_t>::max())
       return std::numeric_limits<int32_t>::max();

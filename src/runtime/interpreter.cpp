@@ -64,7 +64,7 @@ std::shared_ptr<const PackedModel> pack_model_weights(
 Interpreter::Interpreter(ModelDef model, MemoryPlan plan,
                          kernels::BackendConfig config,
                          std::shared_ptr<const PackedModel> packed)
-    : model_(std::move(model)), backend_(config) {
+    : model_(std::move(model)), backend_(config), isa_(kernels::host_isa()) {
   model_.validate();
   if (plan.allocations.empty() && plan.arena_bytes == 0) {
     plan_ = plan_memory(model_);
@@ -233,6 +233,8 @@ void Interpreter::prepare() {
         } else if (dw) {
           p.kernel = fast ? Kernel::kDwFast
                      : bits == 8 ? Kernel::kDwS8 : Kernel::kDwS4;
+        } else if (fast && kernels::is_pointwise(p.conv)) {
+          p.kernel = Kernel::kConvPw;
         } else if (fast) {
           p.kernel = Kernel::kConvFast;
           p.scratch_bytes = kernels::conv2d_fast_scratch_bytes(p.conv);
@@ -335,9 +337,13 @@ void Interpreter::run_op(size_t i) {
   const std::span<const int32_t> bias = as_s32(bytes(p.in[2]));
   const std::span<uint8_t> out = bytes(p.out);
   switch (p.kernel) {
+    case Kernel::kConvPw:
+      kernels::conv2d_s8_1x1_fast(as_s8(in), *packed_->per_op[i], bias,
+                                  as_s8(out), p.conv, p.rq, isa_);
+      break;
     case Kernel::kConvFast:
       kernels::conv2d_s8_fast(as_s8(in), *packed_->per_op[i], bias, as_s8(out),
-                              scratch_, p.conv, p.rq);
+                              scratch_, p.conv, p.rq, isa_);
       break;
     case Kernel::kConvIm2col:
       kernels::conv2d_s8_im2col(as_s8(in), as_s8(w), bias, as_s8(out), scratch_,
@@ -348,7 +354,7 @@ void Interpreter::run_op(size_t i) {
       break;
     case Kernel::kDwFast:
       kernels::depthwise_conv2d_s8_fast(as_s8(in), *packed_->per_op[i], bias,
-                                        as_s8(out), p.conv, p.rq);
+                                        as_s8(out), p.conv, p.rq, isa_);
       break;
     case Kernel::kDwS8:
       kernels::depthwise_conv2d_s8(as_s8(in), as_s8(w), bias, as_s8(out),
@@ -359,7 +365,7 @@ void Interpreter::run_op(size_t i) {
       break;
     case Kernel::kFcFast:
       kernels::fully_connected_s8_fast(as_s8(in), *packed_->per_op[i], bias,
-                                       as_s8(out), p.fc_in, p.fc_out, p.rq);
+                                       as_s8(out), p.fc_in, p.fc_out, p.rq, isa_);
       break;
     case Kernel::kFcS8:
       kernels::fully_connected_s8(as_s8(in), as_s8(w), bias, as_s8(out),

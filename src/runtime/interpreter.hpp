@@ -155,6 +155,9 @@ class Interpreter {
   const std::shared_ptr<const PackedModel>& packed_model() const {
     return packed_;
   }
+  // The instruction-set variant every fast kernel of this interpreter runs,
+  // chosen once at construction from the CPU (kernels::host_isa()).
+  kernels::Isa isa() const { return isa_; }
 
   // Number of invocations served (used by examples/benches).
   int64_t invocation_count() const { return invocations_; }
@@ -186,7 +189,7 @@ class Interpreter {
   // and the operand bit widths.
   enum class Kernel : uint8_t {
     kUnsupported,  // never dispatched: try_invoke* fails first
-    kConvFast, kConvIm2col, kConvS4,
+    kConvPw, kConvFast, kConvIm2col, kConvS4,  // kConvPw: direct 1x1
     kDwFast, kDwS8, kDwS4,
     kFcFast, kFcS8, kFcS4,
     kAvgPoolS8, kAvgPoolS4, kMaxPoolS8, kAddS8, kSoftmaxS8,
@@ -223,6 +226,7 @@ class Interpreter {
   ModelDef model_;
   MemoryPlan plan_;
   kernels::BackendConfig backend_;
+  kernels::Isa isa_;
   std::shared_ptr<const PackedModel> packed_;
   std::vector<PreparedOp> ops_;  // index-aligned with model_.ops
   Operand input_, output_;       // the model's input and output tensors

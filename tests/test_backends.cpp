@@ -11,6 +11,7 @@
 // claim-or-fall-back behavior, including faults landing on executed bytes.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -75,14 +76,24 @@ std::vector<int8_t> random_s8(Rng& rng, int64_t n) {
   return v;
 }
 
+// Every Isa variant this host runs: the baseline always, AVX2 when the CPU
+// has it (tests that need AVX2 itself skip with the reason).
+std::vector<kernels::Isa> host_isas() {
+  std::vector<kernels::Isa> isas{kernels::Isa::kBaseline};
+  if (kernels::isa_supported(kernels::Isa::kAvx2))
+    isas.push_back(kernels::Isa::kAvx2);
+  return isas;
+}
+
 std::vector<int32_t> random_bias(Rng& rng, int64_t n) {
   std::vector<int32_t> v(static_cast<size_t>(n));
   for (auto& b : v) b = static_cast<int32_t>(rng.uniform_int(-8192, 8192));
   return v;
 }
 
-// Runs conv2d_s8 (ground truth), conv2d_s8_im2col, and conv2d_s8_fast on the
-// same inputs and asserts all three agree on every byte.
+// Runs conv2d_s8 (ground truth), conv2d_s8_im2col, and conv2d_s8_fast (and
+// conv2d_s8_1x1_fast on pointwise geometries) in every Isa variant on the
+// same inputs and asserts all agree on every byte.
 void check_conv_all_backends(const kernels::ConvGeometry& g,
                              const kernels::RequantParams& rq, Rng& rng,
                              bool with_bias) {
@@ -92,18 +103,25 @@ void check_conv_all_backends(const kernels::ConvGeometry& g,
   if (with_bias) bias = random_bias(rng, g.out_ch);
   std::vector<int8_t> y_ref(static_cast<size_t>(g.output_elements()));
   std::vector<int8_t> y_im2col(y_ref.size());
-  std::vector<int8_t> y_fast(y_ref.size());
   kernels::conv2d_s8(x, w, bias, y_ref, g, rq);
   std::vector<int8_t> scratch(
       static_cast<size_t>(kernels::conv2d_scratch_bytes(g)));
   kernels::conv2d_s8_im2col(x, w, bias, y_im2col, scratch, g, rq);
+  ASSERT_EQ(y_im2col, y_ref) << "im2col diverged from reference";
   const kernels::PackedOpWeights packed = kernels::pack_rows_s8(
       w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
   std::vector<int8_t> fast_scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
-  kernels::conv2d_s8_fast(x, packed, bias, y_fast, fast_scratch, g, rq);
-  ASSERT_EQ(y_im2col, y_ref) << "im2col diverged from reference";
-  ASSERT_EQ(y_fast, y_ref) << "fast backend diverged from reference";
+  for (const kernels::Isa isa : host_isas()) {
+    SCOPED_TRACE(kernels::isa_name(isa));
+    std::vector<int8_t> y_fast(y_ref.size());
+    kernels::conv2d_s8_fast(x, packed, bias, y_fast, fast_scratch, g, rq, isa);
+    ASSERT_EQ(y_fast, y_ref) << "fast backend diverged from reference";
+    if (!kernels::is_pointwise(g)) continue;
+    std::vector<int8_t> y_pw(y_ref.size());
+    kernels::conv2d_s8_1x1_fast(x, packed, bias, y_pw, g, rq, isa);
+    ASSERT_EQ(y_pw, y_ref) << "direct 1x1 diverged from reference";
+  }
 }
 
 }  // namespace
@@ -227,9 +245,11 @@ TEST(BackendDifferential, FullyConnectedSweep) {
       std::vector<int8_t> y_fast(y_ref.size());
       kernels::fully_connected_s8(x, w, bias, y_ref, c.in_f, c.out_f, rq);
       const auto packed = kernels::pack_rows_s8(w, c.out_f, c.in_f);
-      kernels::fully_connected_s8_fast(x, packed, bias, y_fast, c.in_f,
-                                       c.out_f, rq);
-      ASSERT_EQ(y_fast, y_ref);
+      for (const kernels::Isa isa : host_isas()) {
+        kernels::fully_connected_s8_fast(x, packed, bias, y_fast, c.in_f,
+                                         c.out_f, rq, isa);
+        ASSERT_EQ(y_fast, y_ref) << kernels::isa_name(isa);
+      }
     }
   }
 }
@@ -277,10 +297,204 @@ TEST(BackendDifferential, FastDepthwiseMatchesReference) {
     kernels::depthwise_conv2d_s8(x, w, bias, y_ref, dw, rq);
     const auto packed =
         kernels::pack_rows_s8(w, int64_t{dw.kh} * dw.kw, dw.in_ch);
-    kernels::depthwise_conv2d_s8_fast(x, packed, bias, y_fast, dw, rq);
-    ASSERT_EQ(y_fast, y_ref) << "fast depthwise diverged from reference";
+    for (const kernels::Isa isa : host_isas()) {
+      kernels::depthwise_conv2d_s8_fast(x, packed, bias, y_fast, dw, rq, isa);
+      ASSERT_EQ(y_fast, y_ref) << "fast depthwise diverged from reference ("
+                               << kernels::isa_name(isa) << ")";
+    }
     ++checked;
   }
+}
+
+// --- instruction-set variants -----------------------------------------------
+
+namespace {
+
+// Bias modes the variant sweeps rotate through: none, random, and extreme
+// values whose adds wrap.
+std::vector<int32_t> sweep_bias(Rng& rng, int32_t n, int mode) {
+  if (mode == 0) return {};
+  if (mode == 1) return random_bias(rng, n);
+  std::vector<int32_t> b(static_cast<size_t>(n));
+  for (int32_t i = 0; i < n; ++i)
+    b[static_cast<size_t>(i)] = i % 2 == 0 ? std::numeric_limits<int32_t>::max()
+                                           : std::numeric_limits<int32_t>::min();
+  return b;
+}
+
+std::vector<int8_t> full_range_s8(Rng& rng, int64_t n) {
+  std::vector<int8_t> v(static_cast<size_t>(n));
+  for (auto& x : v) x = static_cast<int8_t>(rng.uniform_int(-128, 127));
+  return v;
+}
+
+}  // namespace
+
+// The direct 1x1 kernel and the gather conv, in every variant, against
+// conv2d_s8: K on both sides of the 16-byte step and its tail, out_ch on
+// both sides of the 4-channel tile and the 8-lane epilogue, pixel counts
+// (25, 7, 2, 4) that leave 1 or 2 pixels past the last 3-pixel tile,
+// per-tensor and per-channel scales, no/random/extreme bias, input zero
+// points at both int8 ends, at 1, 2 and 8 threads.
+TEST(BackendIsa, PointwiseMatchesReferenceInEveryVariant) {
+  const int32_t ks[] = {1, 8, 15, 16, 17, 132, 152};
+  const int32_t ns[] = {1, 3, 4, 5, 8, 9, 132};
+  const struct {
+    int32_t h, w;
+  } grids[] = {{5, 5}, {1, 7}, {2, 1}, {4, 1}};
+  int combo = 0;
+  for (const int threads : {1, 2, 8}) {
+    parallel::set_threads(threads);
+    for (const int32_t k : ks) {
+      for (const int32_t n : ns) {
+        const auto grid = grids[combo % 4];
+        const auto g = make_geom(grid.h, grid.w, k, n, 1, 1, 1, 0, 0);
+        ASSERT_TRUE(kernels::is_pointwise(g));
+        SCOPED_TRACE(testing::Message() << "K " << k << " out_ch " << n
+                                        << " pixels " << grid.h * grid.w
+                                        << " threads " << threads);
+        Rng rng(static_cast<uint64_t>(7000 + combo));
+        kernels::RequantParams rq = random_rq(rng, n, combo % 2 == 0);
+        rq.input_zp = combo % 3 == 0   ? -128
+                      : combo % 3 == 1 ? 127
+                                       : static_cast<int32_t>(rng.uniform_int(-128, 127));
+        const auto x = full_range_s8(rng, g.input_elements());
+        const auto w = full_range_s8(rng, int64_t{n} * k);
+        const auto bias = sweep_bias(rng, n, combo % 3);
+        std::vector<int8_t> y_ref(static_cast<size_t>(g.output_elements()));
+        kernels::conv2d_s8(x, w, bias, y_ref, g, rq);
+        const auto packed = kernels::pack_rows_s8(w, n, k);
+        std::vector<int8_t> scratch(
+            static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
+        for (const kernels::Isa isa : host_isas()) {
+          SCOPED_TRACE(kernels::isa_name(isa));
+          std::vector<int8_t> y(y_ref.size());
+          kernels::conv2d_s8_1x1_fast(x, packed, bias, y, g, rq, isa);
+          ASSERT_EQ(y, y_ref) << "direct 1x1";
+          std::fill(y.begin(), y.end(), int8_t{0});
+          kernels::conv2d_s8_fast(x, packed, bias, y, scratch, g, rq, isa);
+          ASSERT_EQ(y, y_ref) << "gather conv";
+        }
+        ++combo;
+      }
+    }
+  }
+  parallel::set_threads(0);
+}
+
+// Depthwise at KWS widths (the epilogue's 8-lane groups, its scalar tail and
+// the 64-channel row), stride 1 and 2, in every variant.
+TEST(BackendIsa, DepthwiseMatchesReferenceInEveryVariant) {
+  int combo = 0;
+  for (const int threads : {1, 2, 8}) {
+    parallel::set_threads(threads);
+    for (const int32_t ch : {1, 8, 9, 15, 17, 64, 65, 132, 152}) {
+      for (const int32_t stride : {1, 2}) {
+        const auto g = make_geom(7, 5, ch, ch, 3, 3, stride, 1, 1);
+        SCOPED_TRACE(testing::Message() << "ch " << ch << " stride " << stride
+                                        << " threads " << threads);
+        Rng rng(static_cast<uint64_t>(8000 + combo));
+        kernels::RequantParams rq = random_rq(rng, ch, combo % 2 == 0);
+        rq.input_zp = combo % 3 == 0 ? -128 : combo % 3 == 1 ? 127 : 0;
+        const auto x = full_range_s8(rng, g.input_elements());
+        const auto w = full_range_s8(rng, int64_t{g.kh} * g.kw * ch);
+        const auto bias = sweep_bias(rng, ch, combo % 3);
+        std::vector<int8_t> y_ref(static_cast<size_t>(g.output_elements()));
+        kernels::depthwise_conv2d_s8(x, w, bias, y_ref, g, rq);
+        const auto packed = kernels::pack_rows_s8(w, int64_t{g.kh} * g.kw, ch);
+        for (const kernels::Isa isa : host_isas()) {
+          std::vector<int8_t> y(y_ref.size());
+          kernels::depthwise_conv2d_s8_fast(x, packed, bias, y, g, rq, isa);
+          ASSERT_EQ(y, y_ref) << kernels::isa_name(isa);
+        }
+        ++combo;
+      }
+    }
+  }
+  parallel::set_threads(0);
+}
+
+// The AVX2 requant against RequantParams::requantize lane by lane: random
+// accumulators (INT32_MIN/MAX included), multipliers (INT32_MIN included),
+// shifts over [-63, 63], zero points and clamps, with and without the
+// sum_w/bias initializer. Half the lanes aim their product at the int8
+// window so a wrong rounding or shift cannot hide behind the clamp, and
+// power-of-two multipliers hit the high multiply's rounding ties.
+TEST(BackendIsa, VectorRequantMatchesScalarLaneForLane) {
+  if (!kernels::isa_supported(kernels::Isa::kAvx2))
+    GTEST_SKIP() << "this CPU has no AVX2: the vector requant cannot run here";
+  constexpr int32_t kLanes = 4096;
+  Rng rng(20261019);
+  auto any_i32 = [&] {
+    const int64_t r = rng.uniform_int(0, 15);
+    if (r == 0) return std::numeric_limits<int32_t>::min();
+    if (r == 1) return std::numeric_limits<int32_t>::max();
+    return static_cast<int32_t>(rng.uniform_int(std::numeric_limits<int32_t>::min(),
+                                                 std::numeric_limits<int32_t>::max()));
+  };
+  int64_t checked = 0;
+  for (int row = 0; row < 256; ++row) {
+    kernels::RequantParams rq;
+    rq.input_zp = static_cast<int32_t>(rng.uniform_int(-128, 127));
+    rq.output_zp = static_cast<int32_t>(rng.uniform_int(-128, 127));
+    const int32_t lo = static_cast<int32_t>(rng.uniform_int(-128, 127));
+    const int32_t hi = static_cast<int32_t>(rng.uniform_int(-128, 127));
+    rq.act_min = std::min(lo, hi);
+    rq.act_max = std::max(lo, hi);
+    std::vector<int32_t> acc(kLanes), sum_w, bias;
+    for (int32_t c = 0; c < kLanes; ++c) {
+      quant::FixedMultiplier m{any_i32(), static_cast<int>(rng.uniform_int(-63, 63))};
+      acc[static_cast<size_t>(c)] = any_i32();
+      if (c % 8 == 1) {
+        // Power-of-two multipliers put odd accumulators exactly on the
+        // rounding tie of the high multiply.
+        const int32_t ties[] = {1 << 30, -(1 << 30), 1 << 29, 3 << 28, 1 << 16};
+        m.multiplier = ties[rng.uniform_int(0, 4)];
+      }
+      if (c % 2 == 0 && m.multiplier != 0) {
+        // Aim at the window: acc * m / 2^(31 - shift) ~ t.
+        m.shift = static_cast<int>(rng.uniform_int(-40, 0));
+        const double t = static_cast<double>(rng.uniform_int(-300, 300));
+        const double a = t * std::ldexp(1.0, 31 - m.shift) / m.multiplier;
+        if (std::abs(a) < 2147483647.0) acc[static_cast<size_t>(c)] = static_cast<int32_t>(a);
+      }
+      rq.per_channel.push_back(m);
+    }
+    if (row % 4 == 1) {
+      rq.mult = rq.per_channel[0];
+      rq.per_channel.clear();
+    }
+    if (row % 2 == 0) {
+      for (int32_t c = 0; c < kLanes; ++c) {
+        sum_w.push_back(static_cast<int32_t>(rng.uniform_int(-40000, 40000)));
+        bias.push_back(row % 8 == 0 ? any_i32()
+                                    : static_cast<int32_t>(rng.uniform_int(-8192, 8192)));
+      }
+    }
+    std::vector<int8_t> want(kLanes), got(kLanes), baseline(kLanes);
+    for (int32_t c = 0; c < kLanes; ++c) {
+      int32_t v = acc[static_cast<size_t>(c)];
+      if (!sum_w.empty())
+        v = kernels::wrap_add(
+            v, static_cast<int32_t>(static_cast<uint32_t>(-rq.input_zp) *
+                                    static_cast<uint32_t>(sum_w[static_cast<size_t>(c)])));
+      v = kernels::add_bias(v, bias, c);
+      want[static_cast<size_t>(c)] =
+          static_cast<int8_t>(rq.requantize(v, c, rq.act_min, rq.act_max));
+    }
+    kernels::requant_row_s8(acc, 0, sum_w, bias, rq, got, kernels::Isa::kAvx2);
+    kernels::requant_row_s8(acc, 0, sum_w, bias, rq, baseline,
+                            kernels::Isa::kBaseline);
+    for (int32_t c = 0; c < kLanes; ++c) {
+      ASSERT_EQ(got[static_cast<size_t>(c)], want[static_cast<size_t>(c)])
+          << "row " << row << " lane " << c << " acc " << acc[static_cast<size_t>(c)]
+          << " mult " << rq.channel_mult(c).multiplier << " shift "
+          << rq.channel_mult(c).shift;
+      ASSERT_EQ(baseline[static_cast<size_t>(c)], want[static_cast<size_t>(c)]);
+    }
+    checked += kLanes;
+  }
+  EXPECT_EQ(checked, 256 * kLanes);
 }
 
 // --- asymmetric-padding golden vector ---------------------------------------
@@ -333,9 +547,12 @@ TEST(BackendGolden, AsymmetricPaddingOracle) {
       w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
   std::vector<int8_t> fast_scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
-  std::fill(y.begin(), y.end(), int8_t{0});
-  kernels::conv2d_s8_fast(x, packed, bias, y, fast_scratch, g, rq);
-  EXPECT_EQ(y, oracle) << "fast conv disagrees with the naive oracle";
+  for (const kernels::Isa isa : host_isas()) {
+    std::fill(y.begin(), y.end(), int8_t{0});
+    kernels::conv2d_s8_fast(x, packed, bias, y, fast_scratch, g, rq, isa);
+    EXPECT_EQ(y, oracle) << "fast conv disagrees with the naive oracle ("
+                         << kernels::isa_name(isa) << ")";
+  }
 }
 
 // --- geometry fuzzer ---------------------------------------------------------
@@ -368,9 +585,13 @@ TEST(BackendGeometryFuzz, MacsMatchPerPixelCountingOracle) {
       // When padding is smaller than the kernel (the only case real layers
       // use), every window overlaps the input; with pad >= kernel the closed
       // form legitimately emits all-padding windows, so don't assert there.
-      if (g.pad_h < g.kh) ASSERT_LT(oy * g.stride - g.pad_h, g.in_h);
+      if (g.pad_h < g.kh) {
+        ASSERT_LT(oy * g.stride - g.pad_h, g.in_h);
+      }
       for (int32_t ox = 0; ox < g.out_w; ++ox) {
-        if (g.pad_w < g.kw) ASSERT_LT(ox * g.stride - g.pad_w, g.in_w);
+        if (g.pad_w < g.kw) {
+          ASSERT_LT(ox * g.stride - g.pad_w, g.in_w);
+        }
         ++pixels;
         oracle_conv += int64_t{g.out_ch} * g.kh * g.kw * g.in_ch;
         oracle_dw += int64_t{g.in_ch} * g.kh * g.kw;
@@ -401,13 +622,15 @@ TEST(BackendThreads, FastConvBitIdenticalAcrossThreadCounts) {
   std::vector<int8_t> baseline;
   for (const int threads : {1, 2, 8}) {
     parallel::set_threads(threads);
-    std::vector<int8_t> y(static_cast<size_t>(g.output_elements()));
-    kernels::conv2d_s8_fast(x, packed, bias, y, scratch, g, rq);
-    if (baseline.empty())
-      baseline = y;
-    else
-      EXPECT_EQ(y, baseline) << "fast conv output moved at " << threads
-                             << " threads";
+    for (const kernels::Isa isa : host_isas()) {
+      std::vector<int8_t> y(static_cast<size_t>(g.output_elements()));
+      kernels::conv2d_s8_fast(x, packed, bias, y, scratch, g, rq, isa);
+      if (baseline.empty())
+        baseline = y;
+      else
+        EXPECT_EQ(y, baseline) << "fast conv output moved at " << threads
+                               << " threads (" << kernels::isa_name(isa) << ")";
+    }
   }
   parallel::set_threads(0);
 }
@@ -423,13 +646,15 @@ TEST(BackendThreads, FastDepthwiseBitIdenticalAcrossThreadCounts) {
   std::vector<int8_t> baseline;
   for (const int threads : {1, 2, 8}) {
     parallel::set_threads(threads);
-    std::vector<int8_t> y(static_cast<size_t>(g.output_elements()));
-    kernels::depthwise_conv2d_s8_fast(x, packed, bias, y, g, rq);
-    if (baseline.empty())
-      baseline = y;
-    else
-      EXPECT_EQ(y, baseline) << "fast depthwise output moved at " << threads
-                             << " threads";
+    for (const kernels::Isa isa : host_isas()) {
+      std::vector<int8_t> y(static_cast<size_t>(g.output_elements()));
+      kernels::depthwise_conv2d_s8_fast(x, packed, bias, y, g, rq, isa);
+      if (baseline.empty())
+        baseline = y;
+      else
+        EXPECT_EQ(y, baseline) << "fast depthwise output moved at " << threads
+                               << " threads (" << kernels::isa_name(isa) << ")";
+    }
   }
   parallel::set_threads(0);
 }
@@ -627,6 +852,49 @@ TEST(BackendInterpreter, UndetectedWeightFlipReachesFastCompute) {
   }
 }
 
+// The same for the direct 1x1 path: a weight flip and a bias flip in a
+// pointwise conv (the DS-CNN block's 1x1) reach the fast output exactly as
+// they reach the reference output.
+TEST(BackendInterpreter, PointwiseWeightAndBiasFlipsReachFastCompute) {
+  const rt::ModelDef m = tiny_model(9);
+  const rt::MemoryPlan plan = rt::plan_memory(m);
+  rt::Interpreter probe(m, plan, kernels::BackendConfig::fast());
+  EXPECT_EQ(probe.isa(), kernels::host_isa());
+  size_t op = m.ops.size();
+  for (size_t i = 0; i < m.ops.size() && op == m.ops.size(); ++i) {
+    const rt::OpDef& o = m.ops[i];
+    if (o.type != rt::OpType::kConv2D || o.stride != 1 || o.pad_h != 0 ||
+        o.pad_w != 0 || probe.op_backend(i) != kernels::BackendKind::kFast)
+      continue;
+    const rt::TensorDef& w = m.tensors[static_cast<size_t>(o.inputs[1])];
+    if (w.shape.dim(1) == 1 && w.shape.dim(2) == 1) op = i;
+  }
+  ASSERT_LT(op, m.ops.size()) << "tiny model has no fast 1x1 conv";
+  ASSERT_GE(m.ops[op].inputs.size(), 3u);
+  ASSERT_GE(m.ops[op].inputs[2], 0);
+  const TensorI8 in = random_input(m, 78);
+  const TensorI8 clean = probe.invoke_quantized(in);
+  for (const int operand : {1, 2}) {
+    SCOPED_TRACE(operand == 1 ? "weights" : "bias");
+    const rt::TensorDef& t =
+        m.tensors[static_cast<size_t>(m.ops[op].inputs[static_cast<size_t>(operand)])];
+    rt::Interpreter ref(m, plan, kernels::BackendConfig::reference());
+    rt::Interpreter fast(m, plan, kernels::BackendConfig::fast());
+    for (rt::Interpreter* interp : {&ref, &fast}) {
+      std::span<uint8_t> blob = interp->mutable_weights();
+      // Weights: bit 6 of every byte. Bias: bit 22 of every int32 (byte 2,
+      // bit 6), large enough to move the requantized output.
+      for (int64_t k = operand == 1 ? 0 : 2; k < t.storage_bytes();
+           k += operand == 1 ? 1 : 4)
+        blob[static_cast<size_t>(t.blob_offset + k)] ^= 0x40;
+    }
+    const TensorI8 out_ref = ref.invoke_quantized(in);
+    EXPECT_TRUE(fast.invoke_quantized(in) == out_ref)
+        << "fast output ignored the flip";
+    EXPECT_FALSE(out_ref == clean) << "the flip did not change the output";
+  }
+}
+
 // A flash fault can set a bias to any value after load, past the bound
 // ModelDef::check proved. Accumulation then wraps (defined behaviour, and
 // what the SIMD paths do natively), so fast and reference still agree byte
@@ -712,15 +980,26 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
   std::vector<int8_t> fast_scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
   std::vector<int8_t> small_fast_scratch(fast_scratch.size() - 1);
+  const kernels::Isa isa = kernels::host_isa();
   EXPECT_THROW(
-      kernels::conv2d_s8_fast(x, packed, {}, y, small_fast_scratch, g, rq),
+      kernels::conv2d_s8_fast(x, packed, {}, y, small_fast_scratch, g, rq, isa),
       std::invalid_argument);
   EXPECT_THROW(
-      kernels::conv2d_s8_fast(x, packed, {}, small_out, fast_scratch, g, rq),
+      kernels::conv2d_s8_fast(x, packed, {}, small_out, fast_scratch, g, rq, isa),
       std::invalid_argument);
   // A panel packed for a different geometry is rejected up front.
   const auto wrong = kernels::pack_rows_s8(w, g.out_ch * 2,
                                            int64_t{g.kh} * g.kw * g.in_ch / 2);
-  EXPECT_THROW(kernels::conv2d_s8_fast(x, wrong, {}, y, fast_scratch, g, rq),
+  EXPECT_THROW(
+      kernels::conv2d_s8_fast(x, wrong, {}, y, fast_scratch, g, rq, isa),
+      std::invalid_argument);
+  // The direct 1x1 path takes only pointwise geometries, and no kernel runs
+  // a variant the host lacks.
+  EXPECT_THROW(kernels::conv2d_s8_1x1_fast(x, packed, {}, y, g, rq, isa),
                std::invalid_argument);
+  if (!kernels::isa_supported(kernels::Isa::kAvx2)) {
+    EXPECT_THROW(kernels::conv2d_s8_fast(x, packed, {}, y, fast_scratch, g, rq,
+                                         kernels::Isa::kAvx2),
+                 std::invalid_argument);
+  }
 }

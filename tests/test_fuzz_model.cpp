@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "models/backbones.hpp"
@@ -295,8 +296,8 @@ namespace {
 
 // One int8 FC op over `fan_in` inputs with a single output and a one-entry
 // bias, built by hand so the test sets the worst-case accumulator exactly:
-// fan_in * 255 * 128 + |bias|.
-ModelDef fc_model(int32_t fan_in, int32_t bias) {
+// fan_in * 255 * |weight| + |bias|, every weight equal to `weight`.
+ModelDef fc_model(int32_t fan_in, int32_t bias, int8_t weight = -128) {
   ModelDef m;
   m.name = "acc_bound";
   TensorDef x;
@@ -317,7 +318,8 @@ ModelDef fc_model(int32_t fan_in, int32_t bias) {
   y.name = "y";
   y.shape = Shape{1};
   m.tensors = {x, w, b, y};
-  m.weights_blob.assign(static_cast<size_t>(fan_in) + 4, 1);
+  m.weights_blob.assign(static_cast<size_t>(fan_in) + 4,
+                        static_cast<uint8_t>(weight));
   std::memcpy(m.weights_blob.data() + fan_in, &bias, 4);
   OpDef fc;
   fc.type = OpType::kFullyConnected;
@@ -332,24 +334,32 @@ ModelDef fc_model(int32_t fan_in, int32_t bias) {
 }  // namespace
 
 TEST(FuzzModel, AccumulatorOverflowIsGraphInvalid) {
-  // 65793 * 255 * 128 = INT32_MAX - 127: fan-in 65793 fits with a bias up
-  // to 127 in magnitude, 65794 does not fit at all.
+  // All weights -128: 65793 * 255 * 128 = INT32_MAX - 127, so fan-in 65793
+  // fits with a bias up to 127 in magnitude and 65794 does not fit at all.
+  // The bound reads the actual weights: at |w| = 1 the same fan-ins load,
+  // up to fan-in 8421504 (* 255 = INT32_MAX - 127).
   const struct {
     int32_t fan_in, bias;
+    int8_t weight;
     bool loads;
   } cases[] = {
-      {65793, 0, true},
-      {65793, -127, true},
-      {65794, 0, false},
-      {65793, 128, false},
-      {65793, -128, false},
-      {1, -2147483647, false},
-      {1, 2147450000, true},
+      {65793, 0, -128, true},
+      {65793, -127, -128, true},
+      {65794, 0, -128, false},
+      {65793, 128, -128, false},
+      {65793, -128, -128, false},
+      {1, -2147483647, -128, false},
+      {1, 2147450000, -128, true},
+      {65794, 0, 1, true},
+      {65794, 0, 0, true},
+      {8421504, 127, -1, true},
+      {8421504, 128, 1, false},
+      {8421505, 0, 1, false},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(testing::Message() << "fan_in " << c.fan_in << " bias "
-                                    << c.bias);
-    const ModelDef m = fc_model(c.fan_in, c.bias);
+                                    << c.bias << " weight " << int{c.weight});
+    const ModelDef m = fc_model(c.fan_in, c.bias, c.weight);
     const auto r = ModelDef::try_deserialize(m.serialize());
     EXPECT_EQ(r.ok(), c.loads);
     EXPECT_EQ(!m.check().has_value(), c.loads);
@@ -357,6 +367,63 @@ TEST(FuzzModel, AccumulatorOverflowIsGraphInvalid) {
       EXPECT_EQ(r.code(), ErrorCode::kGraphInvalid);
       EXPECT_NE(r.error().message.find("accumulator"), std::string::npos);
     }
+  }
+}
+
+// Requant multipliers are in_scale * w_scale / out_scale: a zero or negative
+// scale has none, so load rejects it with a typed error instead of the
+// Interpreter constructor throwing an untyped one.
+TEST(FuzzModel, NonPositiveScaleIsGraphInvalid) {
+  const ModelDef base = tiny_model(8);
+  const size_t out = static_cast<size_t>(base.ops[0].output);
+  const size_t w = static_cast<size_t>(base.ops[0].inputs[1]);
+  ASSERT_FALSE(base.tensors[w].channel_scales.empty());
+  for (const float scale : {0.f, -0.f, -0.25f}) {
+    SCOPED_TRACE(scale);
+    ModelDef per_tensor = base;
+    per_tensor.tensors[out].qp.scale = scale;
+    ModelDef per_channel = base;
+    per_channel.tensors[w].channel_scales.back() = scale;
+    for (const ModelDef* m : {&per_tensor, &per_channel}) {
+      const auto r = ModelDef::try_deserialize(m->serialize());
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.code(), ErrorCode::kGraphInvalid);
+      EXPECT_NE(r.error().message.find("positive"), std::string::npos);
+    }
+  }
+}
+
+// A finite but extreme scale ratio gives a requant shift far past 31 (left
+// or right). It loads, and every kernel saturates by sign without an
+// out-of-range shift: under -DMN_SANITIZE=ON a UBSan report aborts here.
+// The fast and reference backends agree byte for byte.
+TEST(FuzzModel, ExtremeScaleRatioSaturatesWithoutUndefinedShift) {
+  const ModelDef base = tiny_model(9);
+  const size_t out = static_cast<size_t>(base.ops[0].output);
+  for (const float scale : {1e-38f, 1e38f}) {
+    SCOPED_TRACE(scale);
+    ModelDef m = base;
+    m.tensors[out].qp.scale = scale;
+    const auto r = ModelDef::try_deserialize(m.serialize());
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    Interpreter fast(r.value(), {}, kernels::BackendConfig::fast());
+    Interpreter ref(r.value(), {}, kernels::BackendConfig::reference());
+    const TensorDef& in_t = m.tensors[static_cast<size_t>(m.input_tensor)];
+    TensorI8 x(in_t.shape);
+    Rng rng(5);
+    for (int64_t i = 0; i < x.size(); ++i)
+      x[i] = static_cast<int8_t>(rng.uniform_int(-128, 127));
+    EXPECT_TRUE(fast.invoke_quantized(x) == ref.invoke_quantized(x));
+  }
+  // The primitive itself: shifts of 32..63 and >= 64 saturate by sign.
+  for (const int shift : {32, 40, 63, 64, 283}) {
+    SCOPED_TRACE(shift);
+    const quant::FixedMultiplier m{1 << 30, shift};
+    EXPECT_EQ(quant::multiply_by_quantized_multiplier(3, m),
+              std::numeric_limits<int32_t>::max());
+    EXPECT_EQ(quant::multiply_by_quantized_multiplier(-3, m),
+              std::numeric_limits<int32_t>::min());
+    EXPECT_EQ(quant::multiply_by_quantized_multiplier(0, m), 0);
   }
 }
 

@@ -103,8 +103,11 @@ TEST(ConverterCoverage, Int4ModelSummaryAndFootprint) {
   co.weight_bits = 4;
   co.act_bits = 4;
   rt::ModelDef m = rt::convert(g, co, &ranges);
-  for (const rt::TensorDef& t : m.tensors)
-    if (t.bits != 32) EXPECT_EQ(t.bits, 4) << t.name;
+  for (const rt::TensorDef& t : m.tensors) {
+    if (t.bits != 32) {
+      EXPECT_EQ(t.bits, 4) << t.name;
+    }
+  }
   rt::Interpreter interp(m);
   const std::string s = rt::deployment_summary(interp);
   EXPECT_NE(s.find("arena plan"), std::string::npos);
