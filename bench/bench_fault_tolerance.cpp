@@ -6,8 +6,14 @@
 //
 // Emits a human-readable table followed by a machine-readable JSON block
 // ("--- JSON ---" delimiter) with the full accuracy-vs-rate curves.
+//
+// --smoke trains on a few samples for one epoch and runs one trial per rate:
+// every stage still runs (train, convert, load, flip, invoke, CRC check,
+// JSON), in seconds. The ctest bench_fault_tolerance_smoke runs it and
+// asserts exit 0; the accuracies it prints mean nothing.
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -65,10 +71,13 @@ struct CurvePoint {
 
 int main(int argc, char** argv) {
   const bench::BenchOptions opt = bench::parse_args(argc, argv);
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i)
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   bench::print_header("Fault tolerance: accuracy vs weight-bit-flip rate");
 
   data::KwsConfig kcfg;
-  const int per_class = opt.full ? 40 : 24;
+  const int per_class = smoke ? 4 : opt.full ? 40 : 24;
   data::Dataset all = data::make_kws_dataset(kcfg, per_class, opt.seed);
   auto [train, test] = data::split(all, 0.3);
   const int divisor = opt.full ? 2 : 4;
@@ -86,7 +95,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(opt.chaos.seed),
                 opt.chaos.rate);
   }
-  const int trials = opt.full ? 6 : 3;
+  const int trials = smoke ? 1 : opt.full ? 6 : 3;
 
   struct ModelRun {
     std::string name;
@@ -114,7 +123,7 @@ int main(int argc, char** argv) {
     bo.qat = true;
     nn::Graph g = models::build_ds_cnn(cfg, bo);
     nn::TrainConfig warm;
-    warm.epochs = opt.full ? 20 : 14;
+    warm.epochs = smoke ? 1 : opt.full ? 20 : 14;
     warm.batch_size = 48;
     warm.lr_start = 0.08;
     warm.seed = opt.seed;
@@ -122,7 +131,7 @@ int main(int argc, char** argv) {
     if (bits == 4) {
       models::set_graph_quantization(g, 4, 4);
       nn::TrainConfig fine = warm;
-      fine.epochs = opt.full ? 12 : 8;
+      fine.epochs = smoke ? 1 : opt.full ? 12 : 8;
       fine.lr_start = 0.02;
       fine.seed = opt.seed + 1;
       nn::fit(g, train, fine);
@@ -154,10 +163,10 @@ int main(int argc, char** argv) {
       double acc_sum = 0.0, flips_sum = 0.0;
       for (int t = 0; t < trials; ++t) {
         // Faults land in the deployed model's flash after load, where no
-        // load-time check sees them: a flipped bias or weight may push an
-        // op past the accumulator bound ModelDef::check proved, and the
-        // kernels' int32 sums then wrap (defined, and the same on every
-        // backend).
+        // load-time check sees them. A flipped weight is still int8, so the
+        // MAC sums keep the accumulator bound ModelDef::check proved; a
+        // flipped bias can leave it, and the bias add wraps (defined, and
+        // the same on every backend).
         rt::Interpreter interp(base);
         reliability::FaultInjector fi(hash_combine(
             hash_combine(inject_seed, static_cast<uint64_t>(bits) * 1000 + ri),

@@ -49,11 +49,9 @@ PackedOpWeights pack_rows_s8(std::span<const int8_t> weights, int64_t num_rows,
     const int8_t* src = weights.data() + r * row_len;
     std::memcpy(p.rows.data() + r * p.row_stride, src,
                 static_cast<size_t>(row_len));
-    // Wrapping, like the kernels' sums: repacking after a weight fault
-    // (Interpreter::mutable_weights) must stay defined for any row length.
-    uint32_t s = 0;
-    for (int64_t k = 0; k < row_len; ++k) s += static_cast<uint32_t>(src[k]);
-    p.sum_w[static_cast<size_t>(r)] = static_cast<int32_t>(s);
+    int32_t s = 0;
+    for (int64_t k = 0; k < row_len; ++k) s += src[k];
+    p.sum_w[static_cast<size_t>(r)] = s;
   }
   return p;
 }

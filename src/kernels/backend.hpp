@@ -12,7 +12,8 @@
 //     row stride, zero-point correction sums; kernels_fast.cpp):
 //       * 1x1 conv (stride 1, no padding) runs a direct pointwise kernel that
 //         reads the input pixels in place — no gather, no scratch — over a
-//         pixel range (the unit a banded dw->pw path can reuse);
+//         pixel range (the unit a banded dw->pw path can reuse); the
+//         Interpreter picks it on the AVX2 variant only (see below);
 //       * every other conv gathers a block of im2col columns and runs the
 //         same pointwise kernel over the block;
 //       * depthwise runs channel-vectorised over per-tap weight rows (SSE2
@@ -30,8 +31,10 @@
 // vpmaddwd accumulators reduced once per tile, and a requant over 8 lanes
 // with 64-bit vpmuldq products. kBaseline is the SSE2 path (x86-64's build
 // baseline; scalar elsewhere) with the scalar epilogue, and stays as the
-// fallback. The Interpreter picks the variant once at construction from the
-// CPU (host_isa()); there is no knob.
+// fallback; its SSE2 dot runs faster over the gather path's zero-padded
+// stride than over unpadded pixels in place, so on kBaseline the Interpreter
+// runs 1x1 convs through conv2d_s8_fast. The Interpreter picks the variant
+// once at construction from the CPU (host_isa()); there is no knob.
 //
 // The contract that makes a second backend safe at all: for every geometry,
 // every Isa and every MN_THREADS, a claimed op's output is BYTE-IDENTICAL to

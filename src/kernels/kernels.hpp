@@ -63,9 +63,8 @@ inline int32_t wrap_add(int32_t a, int32_t b) {
 
 // acc + bias[oc] (bias may be empty), wrapping. A loaded model's MAC sums and
 // biases cannot overflow (ModelDef::check bounds them), but a flash fault can
-// set a weight or a bias to any value after load; every MAC loop and bias add
-// wraps, which keeps every kernel defined and equal to the SIMD paths, which
-// wrap natively.
+// set a bias to any value after load; wrapping keeps every kernel defined and
+// equal to the SIMD paths, which wrap natively.
 inline int32_t add_bias(int32_t acc, std::span<const int32_t> bias, int32_t oc) {
   return bias.empty() ? acc : wrap_add(acc, bias[static_cast<size_t>(oc)]);
 }

@@ -58,11 +58,10 @@ const int32_t* bias_ptr(std::span<const int32_t> bias, int32_t channels,
   return bias.data();
 }
 
-// Exact dot product of two int8 rows, wrapping like the SIMD lanes. Reads
-// exactly n bytes of each row.
+// Exact dot product of two int8 rows. Reads exactly n bytes of each row.
 inline int32_t dot_s8(const int8_t* x, const int8_t* w, int64_t n) {
   int64_t i = 0;
-  uint32_t s = 0;
+  int32_t s = 0;
 #if defined(__SSE2__)
   __m128i acc = _mm_setzero_si128();
   for (; i + 16 <= n; i += 16) {
@@ -79,12 +78,12 @@ inline int32_t dot_s8(const int8_t* x, const int8_t* w, int64_t n) {
     acc = _mm_add_epi32(acc, _mm_madd_epi16(xlo, wlo));
     acc = _mm_add_epi32(acc, _mm_madd_epi16(xhi, whi));
   }
-  alignas(16) uint32_t lanes[4];
+  alignas(16) int32_t lanes[4];
   _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
   s = lanes[0] + lanes[1] + lanes[2] + lanes[3];
 #endif
-  for (; i < n; ++i) s += static_cast<uint32_t>(int32_t{x[i]} * w[i]);
-  return static_cast<int32_t>(s);
+  for (; i < n; ++i) s += static_cast<int32_t>(x[i]) * w[i];
+  return s;
 }
 
 // -input_zp * sum_w[c] + bias[c], wrapping; either term may be absent.
@@ -97,14 +96,9 @@ inline int32_t row_init(const int32_t* sum_w, const int32_t* bias,
   return static_cast<int32_t>(init);
 }
 
-// The epilogue over channels [c0, c0 + n) (see requant_row_s8).
-using RowEpilogue = void (*)(const int32_t* acc, int32_t c0, int32_t n,
-                             const int32_t* sum_w, const int32_t* bias,
-                             const RequantParams& rq, int8_t* out);
-
-void requant_row_scalar(const int32_t* acc, int32_t c0, int32_t n,
-                        const int32_t* sum_w, const int32_t* bias,
-                        const RequantParams& rq, int8_t* out) {
+inline void requant_row_scalar(const int32_t* acc, int32_t c0, int32_t n,
+                               const int32_t* sum_w, const int32_t* bias,
+                               const RequantParams& rq, int8_t* out) {
   for (int32_t k = 0; k < n; ++k) {
     const int32_t c = c0 + k;
     out[k] = static_cast<int8_t>(
@@ -382,12 +376,15 @@ MN_AVX2 void pointwise_avx2(const int8_t* x, int64_t x_stride, int64_t k_len,
 
 #endif  // MN_HAVE_AVX2_VARIANT
 
-RowEpilogue epilogue_for(Isa isa) {
+// The epilogue over channels [c0, c0 + n) (see requant_row_s8).
+inline void requant_row(Isa isa, const int32_t* acc, int32_t c0, int32_t n,
+                        const int32_t* sum_w, const int32_t* bias,
+                        const RequantParams& rq, int8_t* out) {
 #if defined(MN_HAVE_AVX2_VARIANT)
-  if (isa == Isa::kAvx2) return requant_row_avx2;
+  if (isa == Isa::kAvx2)
+    return requant_row_avx2(acc, c0, n, sum_w, bias, rq, out);
 #endif
-  (void)isa;
-  return requant_row_scalar;
+  requant_row_scalar(acc, c0, n, sum_w, bias, rq, out);
 }
 
 void pointwise(Isa isa, const int8_t* x, int64_t x_stride, int64_t k_len,
@@ -421,9 +418,9 @@ void requant_row_s8(std::span<const int32_t> acc, int32_t c0,
       (!rq.per_channel.empty() &&
        static_cast<int64_t>(rq.per_channel.size()) < end))
     throw std::invalid_argument("requant_row_s8: span too small");
-  epilogue_for(isa)(acc.data(), c0, static_cast<int32_t>(acc.size()),
-                    sum_w.empty() ? nullptr : sum_w.data(),
-                    bias.empty() ? nullptr : bias.data(), rq, out.data());
+  requant_row(isa, acc.data(), c0, static_cast<int32_t>(acc.size()),
+              sum_w.empty() ? nullptr : sum_w.data(),
+              bias.empty() ? nullptr : bias.data(), rq, out.data());
 }
 
 int64_t conv2d_fast_scratch_bytes(const ConvGeometry& g) {
@@ -560,7 +557,6 @@ void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
   obs::counter_add(obs::Counter::kKernelBytesRead,
                    g.input_elements() + int64_t{g.kh} * g.kw * ch);
   obs::counter_add(obs::Counter::kKernelBytesWritten, g.output_elements());
-  const RowEpilogue epilogue = epilogue_for(isa);
   const int64_t row_stride = packed.row_stride;
   const int8_t* x = input.data();
   const int8_t* w = packed.rows.data();
@@ -618,19 +614,18 @@ void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
           }
 #endif
           for (; c < c1; ++c) {
-            uint32_t s = 0;
+            int32_t s = 0;
             for (int32_t ky = ky0; ky < ky1; ++ky) {
               const int64_t x_row = (int64_t{iy0 + ky} * g.in_w + ix0) * ch + c;
               const int64_t w_row = int64_t{ky} * g.kw * row_stride + c;
               for (int32_t kx = kx0; kx < kx1; ++kx)
-                s += static_cast<uint32_t>(
-                    (static_cast<int32_t>(x[x_row + int64_t{kx} * ch]) -
-                     rq.input_zp) *
-                    static_cast<int32_t>(w[w_row + kx * row_stride]));
+                s += (static_cast<int32_t>(x[x_row + int64_t{kx} * ch]) -
+                      rq.input_zp) *
+                     static_cast<int32_t>(w[w_row + kx * row_stride]);
             }
-            acc[c - c0] = static_cast<int32_t>(s);
+            acc[c - c0] = s;
           }
-          epilogue(acc, c0, c1 - c0, nullptr, b, rq, out_px + c0);
+          requant_row(isa, acc, c0, c1 - c0, nullptr, b, rq, out_px + c0);
         }
       }
     }
@@ -657,7 +652,6 @@ void fully_connected_s8_fast(std::span<const int8_t> input,
   obs::counter_add(obs::Counter::kKernelBytesRead,
                    in_features + int64_t{in_features} * out_features);
   obs::counter_add(obs::Counter::kKernelBytesWritten, out_features);
-  const RowEpilogue epilogue = epilogue_for(isa);
   // The input is the caller's span (no padded copy), so the dot runs over
   // in_features and takes the scalar tail; packed rows store the real
   // weights in their first row_len bytes.
@@ -672,8 +666,8 @@ void fully_connected_s8_fast(std::span<const int8_t> input,
             acc[j] = dot_s8(input.data(),
                             packed.rows.data() + (o0 + j) * packed.row_stride,
                             in_features);
-          epilogue(acc, static_cast<int32_t>(o0), static_cast<int32_t>(n),
-                   packed.sum_w.data(), b, rq, output.data() + o0);
+          requant_row(isa, acc, static_cast<int32_t>(o0), static_cast<int32_t>(n),
+                      packed.sum_w.data(), b, rq, output.data() + o0);
         }
       },
       /*grain=*/16);

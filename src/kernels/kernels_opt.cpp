@@ -81,13 +81,13 @@ void conv2d_s8_im2col(std::span<const int8_t> input,
         int64_t i = 0;
         // Unrolled by 4: the scalar stand-in for the SMLAD dual-MAC path.
         for (; i + 4 <= ksize; i += 4) {
-          acc = wrap_add(acc, (static_cast<int32_t>(xr[i]) - rq.input_zp) * wr[i]);
-          acc = wrap_add(acc, (static_cast<int32_t>(xr[i + 1]) - rq.input_zp) * wr[i + 1]);
-          acc = wrap_add(acc, (static_cast<int32_t>(xr[i + 2]) - rq.input_zp) * wr[i + 2]);
-          acc = wrap_add(acc, (static_cast<int32_t>(xr[i + 3]) - rq.input_zp) * wr[i + 3]);
+          acc += (static_cast<int32_t>(xr[i]) - rq.input_zp) * wr[i];
+          acc += (static_cast<int32_t>(xr[i + 1]) - rq.input_zp) * wr[i + 1];
+          acc += (static_cast<int32_t>(xr[i + 2]) - rq.input_zp) * wr[i + 2];
+          acc += (static_cast<int32_t>(xr[i + 3]) - rq.input_zp) * wr[i + 3];
         }
         for (; i < ksize; ++i)
-          acc = wrap_add(acc, (static_cast<int32_t>(xr[i]) - rq.input_zp) * wr[i]);
+          acc += (static_cast<int32_t>(xr[i]) - rq.input_zp) * wr[i];
         out_px[oc] = static_cast<int8_t>(rq.requantize(
             add_bias(acc, bias, oc), oc, rq.act_min, rq.act_max));
       }

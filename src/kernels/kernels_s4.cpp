@@ -79,8 +79,8 @@ void conv2d_s4(std::span<const uint8_t> input, std::span<const uint8_t> weights,
               wbuf[static_cast<size_t>(ic)] = load_s4(weights, woff + ic);
             }
             for (int32_t ic = 0; ic < g.in_ch; ++ic)
-              acc = wrap_add(acc, (static_cast<int32_t>(xbuf[static_cast<size_t>(ic)]) - rq.input_zp) *
-                                   static_cast<int32_t>(wbuf[static_cast<size_t>(ic)]));
+              acc += (static_cast<int32_t>(xbuf[static_cast<size_t>(ic)]) - rq.input_zp) *
+                     static_cast<int32_t>(wbuf[static_cast<size_t>(ic)]);
           }
         }
         const int64_t out_idx = (int64_t{oy} * g.out_w + ox) * g.out_ch + oc;
@@ -122,7 +122,7 @@ void depthwise_conv2d_s4(std::span<const uint8_t> input,
             if (ix < 0 || ix >= g.in_w) continue;
             const int8_t x = load_s4(input, (int64_t{iy} * g.in_w + ix) * g.in_ch + c);
             const int8_t w = load_s4(weights, (int64_t{ky} * g.kw + kx) * g.in_ch + c);
-            acc = wrap_add(acc, (static_cast<int32_t>(x) - rq.input_zp) * static_cast<int32_t>(w));
+            acc += (static_cast<int32_t>(x) - rq.input_zp) * static_cast<int32_t>(w);
           }
         }
         const int64_t out_idx = (int64_t{oy} * g.out_w + ox) * g.out_ch + c;
@@ -157,8 +157,8 @@ void fully_connected_s4(std::span<const uint8_t> input,
           int32_t acc = 0;
           const int64_t woff = int64_t{o} * in_features;
           for (int32_t i = 0; i < in_features; ++i)
-            acc = wrap_add(acc, (static_cast<int32_t>(load_s4(input, i)) - rq.input_zp) *
-                                 static_cast<int32_t>(load_s4(weights, woff + i)));
+            acc += (static_cast<int32_t>(load_s4(input, i)) - rq.input_zp) *
+                   static_cast<int32_t>(load_s4(weights, woff + i));
           store_s4(output, o, requantize4(add_bias(acc, bias, o), rq, o));
         }
       },

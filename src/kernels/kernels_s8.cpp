@@ -47,8 +47,8 @@ void conv2d_s8(std::span<const int8_t> input, std::span<const int8_t> weights,
             const int8_t* xr = input.data() + (int64_t{iy} * g.in_w + ix) * g.in_ch;
             const int8_t* wk = wr + (int64_t{ky} * g.kw + kx) * g.in_ch;
             for (int32_t ic = 0; ic < g.in_ch; ++ic)
-              acc = wrap_add(acc, (static_cast<int32_t>(xr[ic]) - rq.input_zp) *
-                                   static_cast<int32_t>(wk[ic]));
+              acc += (static_cast<int32_t>(xr[ic]) - rq.input_zp) *
+                     static_cast<int32_t>(wk[ic]);
           }
         }
         out_px[oc] = requantize(add_bias(acc, bias, oc), rq, oc);
@@ -84,7 +84,7 @@ void depthwise_conv2d_s8(std::span<const int8_t> input,
             if (ix < 0 || ix >= g.in_w) continue;
             const int8_t x = input[(int64_t{iy} * g.in_w + ix) * g.in_ch + c];
             const int8_t w = weights[(int64_t{ky} * g.kw + kx) * g.in_ch + c];
-            acc = wrap_add(acc, (static_cast<int32_t>(x) - rq.input_zp) * static_cast<int32_t>(w));
+            acc += (static_cast<int32_t>(x) - rq.input_zp) * static_cast<int32_t>(w);
           }
         }
         out_px[c] = requantize(add_bias(acc, bias, c), rq, c);
@@ -113,9 +113,9 @@ void fully_connected_s8(std::span<const int8_t> input,
           const int8_t* wr = weights.data() + int64_t{o} * in_features;
           int32_t acc = 0;
           for (int32_t i = 0; i < in_features; ++i)
-            acc = wrap_add(acc, (static_cast<int32_t>(input[static_cast<size_t>(i)]) -
-                                 rq.input_zp) *
-                                    static_cast<int32_t>(wr[i]));
+            acc += (static_cast<int32_t>(input[static_cast<size_t>(i)]) -
+                    rq.input_zp) *
+                   static_cast<int32_t>(wr[i]);
           output[static_cast<size_t>(o)] = requantize(add_bias(acc, bias, o), rq, o);
         }
       },

@@ -76,22 +76,20 @@ int32_t multiply_by_quantized_multiplier(int32_t x, FixedMultiplier m) {
   // Saturating rounding doubling high multiply.
   const bool overflow = (x == m.multiplier && x == std::numeric_limits<int32_t>::min());
   const int64_t prod = static_cast<int64_t>(x) * static_cast<int64_t>(m.multiplier);
-  const int32_t nudge = prod >= 0 ? (1 << 30) : (1 - (1 << 30));
-  // Division (truncation), not shift (floor): matches gemmlowp SRDHM exactly
-  // for negative products.
+  // gemmlowp SRDHM truncates (prod + nudge) / 2^31 with nudge = 2^30 for
+  // prod >= 0 and 1 - 2^30 below. That is exactly floor((prod + 2^30) / 2^31)
+  // for either sign (for prod < 0, trunc rounds up: ceil(q / 2^31) =
+  // floor((q + 2^31 - 1) / 2^31) with q = prod + 1 - 2^30), so one add and
+  // an arithmetic shift compute it with no branch on the product's sign.
   int32_t high = overflow ? std::numeric_limits<int32_t>::max()
-                          : static_cast<int32_t>((prod + nudge) / (1ll << 31));
+                          : static_cast<int32_t>((prod + (int64_t{1} << 30)) >> 31);
   // Apply shift: left shifts scale up, right shifts round to nearest
   // (matching gemmlowp's RoundingDivideByPOT).
   if (m.shift > 0) {
-    // Any nonzero value shifted by 32 or more leaves int32: saturate by
-    // sign without the (undefined) int64 shift by >= 64, and without the
-    // wrap a shift by 32..63 could push into the sign bit.
-    if (m.shift >= 32)
-      return high > 0   ? std::numeric_limits<int32_t>::max()
-             : high < 0 ? std::numeric_limits<int32_t>::min()
-                        : 0;
-    const int64_t shifted = static_cast<int64_t>(high) << m.shift;
+    // Any nonzero value shifted by 32 already leaves int32, so a larger
+    // shift saturates the same way: capping it at 32 keeps the int64 shift
+    // defined (no shift by >= 64) and exact (no wrap into the sign bit).
+    const int64_t shifted = static_cast<int64_t>(high) << std::min(m.shift, 32);
     if (shifted > std::numeric_limits<int32_t>::max())
       return std::numeric_limits<int32_t>::max();
     if (shifted < std::numeric_limits<int32_t>::min())

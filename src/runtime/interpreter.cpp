@@ -233,7 +233,11 @@ void Interpreter::prepare() {
         } else if (dw) {
           p.kernel = fast ? Kernel::kDwFast
                      : bits == 8 ? Kernel::kDwS8 : Kernel::kDwS4;
-        } else if (fast && kernels::is_pointwise(p.conv)) {
+        } else if (fast && isa_ == kernels::Isa::kAvx2 &&
+                   kernels::is_pointwise(p.conv)) {
+          // The direct 1x1 path pays off with the AVX2 tile; the baseline
+          // variant's per-(pixel, channel) SSE2 dot runs as fast or faster
+          // over the gather path's zero-padded 16-byte stride.
           p.kernel = Kernel::kConvPw;
         } else if (fast) {
           p.kernel = Kernel::kConvFast;

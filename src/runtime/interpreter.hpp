@@ -155,9 +155,6 @@ class Interpreter {
   const std::shared_ptr<const PackedModel>& packed_model() const {
     return packed_;
   }
-  // The instruction-set variant every fast kernel of this interpreter runs,
-  // chosen once at construction from the CPU (kernels::host_isa()).
-  kernels::Isa isa() const { return isa_; }
 
   // Number of invocations served (used by examples/benches).
   int64_t invocation_count() const { return invocations_; }

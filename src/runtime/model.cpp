@@ -449,63 +449,38 @@ ModelDef ModelDef::load(const std::string& path) {
 
 namespace {
 
-// Worst-case |int32 accumulator| of a conv / depthwise / FC op: per output
-// channel, every input at its extreme, |x - zp| = 255 (int8 zero point),
-// times that channel's weights, Σ|w| * 255, plus its |bias|; the op's bound
-// is the largest channel's. Past INT32_MAX the int32 sum wraps (every kernel
-// wraps the same way, so the backends still agree, but the output is
-// garbage). The shape-only bound fan_in * 255 * 128 + max|bias| is tried
-// first: it holds for every real model and reads no weights; only an op past
-// it pays for the per-channel pass. Weights that are not int8 constants
-// count as |w| = 128, and a bias that is not one int32 per channel counts
-// its largest entry for every channel. Fan-in saturates at 2^31, far past
-// any admissible op, so no sum can overflow int64 whatever the (in-memory)
-// shape holds.
+// Worst-case |int32 accumulator| of a conv / depthwise / FC op: every product
+// at its extreme, |x - zp| = 255 (int8 zero point) times |w| = 128, summed
+// over the fan-in, plus the largest |bias|. Past INT32_MAX the reference
+// kernels' accumulation is signed-overflow UB while the SIMD paths wrap.
+// A fault after load keeps this bound for the MAC sums (a flipped weight is
+// still int8) and only reaches the bias add, which every kernel wraps.
+// Fan-in saturates at 2^31, far past any admissible op, so the product
+// cannot overflow int64 whatever the (in-memory) shape holds.
 int64_t worst_case_accumulator(const std::vector<TensorDef>& tensors,
                                const std::vector<uint8_t>& blob,
                                const OpDef& op) {
   constexpr int64_t kFanInCap = int64_t{1} << 31;
   const TensorDef& w = tensors[static_cast<size_t>(op.inputs[1])];
-  // Weights: conv [out][kh][kw][in], FC [out][in] (one contiguous row of
-  // fan_in per channel); depthwise [1][kh][kw][ch] (channel c at every
-  // ch-th element, fan_in = kh*kw).
-  const bool dw = op.type == OpType::kDepthwiseConv2D;
-  const int64_t channels = dw ? w.shape.dim(3) : w.shape.dim(0);
-  const int last_dim = dw ? 3 : w.shape.rank();
+  // Weights: conv [out][kh][kw][in], depthwise [1][kh][kw][ch], FC
+  // [out][in]; the fan-in is the product of the dims after the first
+  // (depthwise: kh*kw only).
+  const int last_dim = op.type == OpType::kDepthwiseConv2D ? 3 : w.shape.rank();
   int64_t fan_in = 1;
   for (int d = 1; d < last_dim; ++d)
     fan_in = std::min(fan_in * std::min(w.shape.dim(d), kFanInCap), kFanInCap);
-  const TensorDef* b = nullptr;
-  if (op.inputs.size() > 2 && op.inputs[2] >= 0) {
-    const TensorDef& bt = tensors[static_cast<size_t>(op.inputs[2])];
-    if (bt.is_const && bt.bits == 32) b = &bt;
-  }
-  auto bias_abs = [&](int64_t k) {
-    int32_t v = 0;
-    std::memcpy(&v, blob.data() + b->blob_offset + 4 * k, 4);
-    return std::abs(int64_t{v});
-  };
   int64_t max_bias = 0;
-  if (b != nullptr)
-    for (int64_t k = 0; k < b->elements(); ++k)
-      max_bias = std::max(max_bias, bias_abs(k));
-  const int64_t shape_bound = fan_in * 255 * 128 + max_bias;
-  // Only int8 const weights (one per byte, laid out as above) are read.
-  const bool known = w.is_const && w.bits == 8 && fan_in > 0 &&
-                     w.elements() % fan_in == 0 && w.elements() / fan_in == channels;
-  if (shape_bound <= std::numeric_limits<int32_t>::max() || !known)
-    return shape_bound;
-  const bool bias_per_channel = b != nullptr && b->elements() == channels;
-  const auto* wv = reinterpret_cast<const int8_t*>(blob.data() + w.blob_offset);
-  int64_t worst = 0;
-  for (int64_t c = 0; c < channels; ++c) {
-    int64_t sum_abs = 0;
-    for (int64_t k = 0; k < fan_in; ++k)
-      sum_abs += std::abs(int64_t{dw ? wv[k * channels + c] : wv[c * fan_in + k]});
-    worst = std::max(worst,
-                     sum_abs * 255 + (bias_per_channel ? bias_abs(c) : max_bias));
+  if (op.inputs.size() > 2 && op.inputs[2] >= 0) {
+    const TensorDef& b = tensors[static_cast<size_t>(op.inputs[2])];
+    if (b.is_const && b.bits == 32) {
+      for (int64_t k = 0; k < b.elements(); ++k) {
+        int32_t v = 0;
+        std::memcpy(&v, blob.data() + b.blob_offset + 4 * k, 4);
+        max_bias = std::max(max_bias, std::abs(int64_t{v}));
+      }
+    }
   }
-  return worst;
+  return fan_in * 255 * 128 + max_bias;
 }
 
 }  // namespace

@@ -296,8 +296,8 @@ namespace {
 
 // One int8 FC op over `fan_in` inputs with a single output and a one-entry
 // bias, built by hand so the test sets the worst-case accumulator exactly:
-// fan_in * 255 * |weight| + |bias|, every weight equal to `weight`.
-ModelDef fc_model(int32_t fan_in, int32_t bias, int8_t weight = -128) {
+// fan_in * 255 * 128 + |bias|.
+ModelDef fc_model(int32_t fan_in, int32_t bias) {
   ModelDef m;
   m.name = "acc_bound";
   TensorDef x;
@@ -318,8 +318,7 @@ ModelDef fc_model(int32_t fan_in, int32_t bias, int8_t weight = -128) {
   y.name = "y";
   y.shape = Shape{1};
   m.tensors = {x, w, b, y};
-  m.weights_blob.assign(static_cast<size_t>(fan_in) + 4,
-                        static_cast<uint8_t>(weight));
+  m.weights_blob.assign(static_cast<size_t>(fan_in) + 4, 1);
   std::memcpy(m.weights_blob.data() + fan_in, &bias, 4);
   OpDef fc;
   fc.type = OpType::kFullyConnected;
@@ -334,32 +333,24 @@ ModelDef fc_model(int32_t fan_in, int32_t bias, int8_t weight = -128) {
 }  // namespace
 
 TEST(FuzzModel, AccumulatorOverflowIsGraphInvalid) {
-  // All weights -128: 65793 * 255 * 128 = INT32_MAX - 127, so fan-in 65793
-  // fits with a bias up to 127 in magnitude and 65794 does not fit at all.
-  // The bound reads the actual weights: at |w| = 1 the same fan-ins load,
-  // up to fan-in 8421504 (* 255 = INT32_MAX - 127).
+  // 65793 * 255 * 128 = INT32_MAX - 127: fan-in 65793 fits with a bias up
+  // to 127 in magnitude, 65794 does not fit at all.
   const struct {
     int32_t fan_in, bias;
-    int8_t weight;
     bool loads;
   } cases[] = {
-      {65793, 0, -128, true},
-      {65793, -127, -128, true},
-      {65794, 0, -128, false},
-      {65793, 128, -128, false},
-      {65793, -128, -128, false},
-      {1, -2147483647, -128, false},
-      {1, 2147450000, -128, true},
-      {65794, 0, 1, true},
-      {65794, 0, 0, true},
-      {8421504, 127, -1, true},
-      {8421504, 128, 1, false},
-      {8421505, 0, 1, false},
+      {65793, 0, true},
+      {65793, -127, true},
+      {65794, 0, false},
+      {65793, 128, false},
+      {65793, -128, false},
+      {1, -2147483647, false},
+      {1, 2147450000, true},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(testing::Message() << "fan_in " << c.fan_in << " bias "
-                                    << c.bias << " weight " << int{c.weight});
-    const ModelDef m = fc_model(c.fan_in, c.bias, c.weight);
+                                    << c.bias);
+    const ModelDef m = fc_model(c.fan_in, c.bias);
     const auto r = ModelDef::try_deserialize(m.serialize());
     EXPECT_EQ(r.ok(), c.loads);
     EXPECT_EQ(!m.check().has_value(), c.loads);

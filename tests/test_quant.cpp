@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "quant/quant.hpp"
 #include "tensor/rng.hpp"
@@ -106,6 +109,39 @@ TEST(FixedMultiplier, RoundsTiesUpward) {
   EXPECT_EQ(multiply_by_quantized_multiplier(-3, half), -1);
   EXPECT_EQ(multiply_by_quantized_multiplier(4, half), 2);
   EXPECT_EQ(multiply_by_quantized_multiplier(-4, half), -2);
+}
+
+// The high multiply is computed as floor((x*m + 2^30) / 2^31), the
+// branch-free form of gemmlowp's SRDHM (truncating division with a
+// sign-dependent nudge). The two agree on every product; check extremes,
+// exact ties (products at odd multiples of 2^30) and random pairs.
+TEST(FixedMultiplier, HighMultiplyMatchesGemmlowpDivisionForm) {
+  auto srdhm = [](int32_t x, int32_t m) {
+    if (x == m && x == std::numeric_limits<int32_t>::min())
+      return std::numeric_limits<int32_t>::max();
+    const int64_t prod = int64_t{x} * m;
+    const int64_t nudge = prod >= 0 ? (1 << 30) : (1 - (1 << 30));
+    return static_cast<int32_t>((prod + nudge) / (int64_t{1} << 31));
+  };
+  std::vector<std::pair<int32_t, int32_t>> cases;
+  const int32_t edges[] = {std::numeric_limits<int32_t>::min(),
+                           std::numeric_limits<int32_t>::min() + 1,
+                           -(1 << 30), -3, -1, 0, 1, 3, 1 << 30,
+                           std::numeric_limits<int32_t>::max()};
+  for (int32_t x : edges)
+    for (int32_t m : edges) cases.emplace_back(x, m);
+  for (int32_t k = -64; k <= 64; ++k) {
+    cases.emplace_back(2 * k + 1, 1 << 30);  // ties: (2k+1) * 2^30
+    cases.emplace_back(-(2 * k + 1), 1 << 30);
+  }
+  Rng rng(11);
+  for (int i = 0; i < 200000; ++i)
+    cases.emplace_back(static_cast<int32_t>(rng.next_u64()),
+                       static_cast<int32_t>(rng.next_u64()));
+  for (const auto& [x, m] : cases)
+    ASSERT_EQ(multiply_by_quantized_multiplier(x, FixedMultiplier{m, 0}),
+              srdhm(x, m))
+        << "x " << x << " m " << m;
 }
 
 TEST(Int4Packing, RoundTrip) {
