@@ -20,13 +20,14 @@
 // Gated by tools/mn_regress (check-regression): "..._compiled_peak_..."
 // metrics use the one-sided arena-peak upper bound (shrinking further is an
 // improvement, growing even one byte means a pass stopped firing); ops and
-// fusion counts are exact; the latency ratio gates through the generous
-// host-time tail rule.
+// fusion counts are exact; the latency ratio (the median of per-pair ratios
+// over interleaved invokes) gates through the generous host-time tail rule.
 #include <algorithm>
 #include <chrono>
 
 #include "bench_util.hpp"
 #include "compile/compile.hpp"
+#include "parallel/pool.hpp"
 #include "runtime/planner.hpp"
 #include "tensor/rng.hpp"
 
@@ -34,18 +35,36 @@ using namespace mn;
 
 namespace {
 
-// Median host latency of `reps` invokes, microseconds.
-double median_invoke_us(rt::Interpreter& interp, const TensorI8& in, int reps) {
-  std::vector<double> us;
-  us.reserve(static_cast<size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
+// Median over `reps` pairs of one invoke's host-time ratio after/before.
+// Each pair times the two interpreters back to back, alternating which goes
+// first, so a speed phase of a shared host lands on both sides of a ratio
+// rather than on every "before" or every "after" invoke. Timed on one
+// thread: with four pool threads, wake-up latency spread the ratio from
+// 0.34 to 0.70 between identical runs; on one it stayed within 0.48-0.56.
+double median_latency_ratio(rt::Interpreter& before, rt::Interpreter& after,
+                            const TensorI8& in, int reps) {
+  parallel::set_threads(1);
+  const auto invoke_ns = [&](rt::Interpreter& interp) {
     const auto t0 = std::chrono::steady_clock::now();
     (void)interp.invoke_quantized(in);
     const auto t1 = std::chrono::steady_clock::now();
-    us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
+    return std::chrono::duration<double, std::nano>(t1 - t0).count();
+  };
+  (void)invoke_ns(before);  // first invokes touch cold arenas
+  (void)invoke_ns(after);
+  std::vector<double> ratios;
+  ratios.reserve(static_cast<size_t>(reps));
+  for (int i = 0; i < reps; ++i) {
+    const bool before_first = i % 2 == 0;
+    const double first = invoke_ns(before_first ? before : after);
+    const double second = invoke_ns(before_first ? after : before);
+    const double ns_before = before_first ? first : second;
+    const double ns_after = before_first ? second : first;
+    ratios.push_back(ns_before > 0 ? ns_after / ns_before : 1.0);
   }
-  std::sort(us.begin(), us.end());
-  return us[us.size() / 2];
+  parallel::set_threads(0);
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[ratios.size() / 2];
 }
 
 }  // namespace
@@ -118,9 +137,7 @@ int main(int argc, char** argv) {
     for (int64_t i = 0; i < in.size(); ++i)
       in[i] = static_cast<int8_t>(rng.uniform_int(-128, 127));
     const int reps = opt.full ? 101 : 31;
-    const double us_before = median_invoke_us(before, in, reps);
-    const double us_after = median_invoke_us(after, in, reps);
-    const double ratio = us_before > 0 ? us_after / us_before : 1.0;
+    const double ratio = median_latency_ratio(before, after, in, reps);
 
     const compile::CompileReport& r = compiled.report;
     int64_t fused = 0;

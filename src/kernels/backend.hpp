@@ -6,7 +6,7 @@
 // kReference per-op, so a model never fails to run because a backend lacks a
 // kernel — it just runs that op on the reference path.
 //
-//   kReference — the single-strategy loops in kernels_s8/s4/opt.cpp. The
+//   kReference — the single-strategy loops in kernels_ref/opt.cpp. The
 //     semantic ground truth: every other backend must match it byte-for-byte.
 //   kFast — GEMM over weight panels packed once at model-load time (16-byte
 //     row stride, zero-point correction sums; kernels_fast.cpp):

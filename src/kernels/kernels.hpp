@@ -2,10 +2,10 @@
 // with fixed-point requantization. Kernels operate on single images (no batch
 // dimension), NHWC layout, exactly like the TFLM/CMSIS-NN reference kernels.
 //
-// The int4 kernels emulate sub-byte support by unpacking nibbles into small
-// stack buffers before the multiply-accumulate, mirroring the paper's custom
-// CMSIS-NN extension (§5.1.3); the latency overhead of the pack/unpack is
-// modeled (as negligible) in the MCU latency model, not here.
+// Each int8/int4 pair is one loop nest (kernels_ref.cpp) that unpacks int4
+// nibbles as it loads and repacks them as it stores, around the same int32
+// multiply-accumulate — the paper's custom CMSIS-NN extension (§5.1.3); the
+// pack/unpack latency is modeled (as negligible) by mcu::, not here.
 #pragma once
 
 #include <algorithm>

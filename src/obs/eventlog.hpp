@@ -45,8 +45,8 @@ enum class EventKind : uint8_t {
   kCanaryDetect,   // cadence health-check caught corruption  a=instance
   kBreakerTrip,    // circuit breaker opened                  a=lifetime trips
   kWatchdogStall,  // liveness watchdog latched a stall       a=queue depth
-  kDegradeEnter,   // tenant routed to fallback variant       a=queue depth
-  kDegradeExit,    // tenant recovered to primary             a=queue depth
+  kDegradeEnter,   // tenant routed to fallback variant       a=queue depth, b=0
+  kDegradeExit,    // tenant recovered to primary             a=queue depth, b=0
   kRolloutStage,   // rollout lifecycle stage entered         a=Stage
   kRolloutAbort,   // rollout rolled back                     a=AbortReason, b=tenants repinned
   kEventKindCount,  // sentinel, keep last

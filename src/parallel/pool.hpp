@@ -65,7 +65,7 @@ void parallel_for(int64_t begin, int64_t end,
 
 // Runs fn(i) for i in [0, chunks) across the pool — the low-level form for
 // call sites that manage their own per-chunk state (gradient partials,
-// unpack buffers). Same blocking/exception semantics as parallel_for.
+// im2col buffers). Same blocking/exception semantics as parallel_for.
 void for_chunks(int64_t chunks, const std::function<void(int64_t)>& fn);
 
 // Execution statistics, accumulated into the obs:: counter registry since

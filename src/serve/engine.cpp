@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -15,8 +14,6 @@
 namespace mn::serve {
 
 namespace {
-
-constexpr int64_t kLatencyWindow = 128;  // per-tenant latency ring size
 
 bool is_shed(Outcome o) {
   return o == Outcome::kRejectedQueueFull || o == Outcome::kRejectedBreaker ||
@@ -285,18 +282,6 @@ Tick ServingEngine::min_service_ticks(const Tenant& t) const {
   return m;
 }
 
-Tick ServingEngine::tenant_window_p99(const Tenant& t) const {
-  if (t.lat_window.empty()) return 0;
-  // Nearest-rank p99 over the ring (TickHistogram::percentile's convention),
-  // exact at any window content.
-  std::vector<Tick> w = t.lat_window;
-  const auto n = static_cast<int64_t>(w.size());
-  const int64_t rank = std::clamp<int64_t>(
-      static_cast<int64_t>(std::ceil(0.99 * static_cast<double>(n))), 1, n);
-  std::nth_element(w.begin(), w.begin() + (rank - 1), w.end());
-  return w[static_cast<size_t>(rank - 1)];
-}
-
 // --- completion path --------------------------------------------------------
 
 void ServingEngine::process_completions() {
@@ -354,15 +339,8 @@ void ServingEngine::complete(Inflight rec) {
                   : rec.variant == t.primary       ? run_shadow(t, rec)
                   : rec.variant == t.fallback      ? Outcome::kServedDegraded
                                                    : Outcome::kServedRollback;
-      const Tick lat = rec.completes - rec.req.arrival;
-      t.hist.record(lat);
+      t.hist.record(rec.completes - rec.req.arrival);
       wall_us_.record(rec.wall_ns / 1000);
-      if (static_cast<int64_t>(t.lat_window.size()) < kLatencyWindow) {
-        t.lat_window.push_back(lat);
-      } else {
-        t.lat_window[static_cast<size_t>(t.lat_seen % kLatencyWindow)] = lat;
-      }
-      ++t.lat_seen;
       finish(rec.req, o, rec.completes);
       break;
     }
@@ -543,8 +521,7 @@ void ServingEngine::evaluate_degradation() {
         ++stats_.degrade_enters;
         obs::event_emit({obs::EventKind::kDegradeEnter,
                          static_cast<int32_t>(&t - tenants_.data()),
-                         /*seq=*/-1, now_, t.queue.size(),
-                         tenant_window_p99(t)});
+                         /*seq=*/-1, now_, t.queue.size()});
       }
     } else if (t.degraded) {
       // Hysteresis: require degrade_hold_ticks of calm before recovering.
@@ -555,8 +532,7 @@ void ServingEngine::evaluate_degradation() {
         ++stats_.degrade_exits;
         obs::event_emit({obs::EventKind::kDegradeExit,
                          static_cast<int32_t>(&t - tenants_.data()),
-                         /*seq=*/-1, now_, t.queue.size(),
-                         tenant_window_p99(t)});
+                         /*seq=*/-1, now_, t.queue.size()});
       }
     }
   }

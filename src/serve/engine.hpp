@@ -158,10 +158,6 @@ class ServingEngine {
     // in the pool's rotation, so mirroring steals no serving capacity).
     int shadow_variant = -1;
     std::unique_ptr<rt::Interpreter> shadow_mirror;
-    // Ring of the last kLatencyWindow served virtual latencies; its p99
-    // rides in the degrade enter/exit events.
-    std::vector<Tick> lat_window;
-    int64_t lat_seen = 0;
     obs::TickHistogram hist;       // cumulative served-latency histogram
     int64_t inflight = 0;
     int64_t next_seq = 0;
@@ -200,7 +196,6 @@ class ServingEngine {
   void execute_batch(const std::vector<size_t>& fresh);
   void execute_one(Inflight& rec);
   Tick min_service_ticks(const Tenant& t) const;
-  Tick tenant_window_p99(const Tenant& t) const;
 
   EngineConfig cfg_;
   ChaosSchedule chaos_;

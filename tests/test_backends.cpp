@@ -11,6 +11,7 @@
 // claim-or-fall-back behavior, including faults landing on executed bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -500,7 +501,7 @@ TEST(BackendIsa, VectorRequantMatchesScalarLaneForLane) {
 // --- asymmetric-padding golden vector ---------------------------------------
 
 // Independent per-output-pixel oracle: the naive direct convolution written
-// from the definition, sharing no code with kernels_s8/opt/fast. Guards the
+// from the definition, sharing no code with kernels_ref/opt/fast. Guards the
 // pad_h != pad_w regression the im2col family is prone to (transposed pads).
 TEST(BackendGolden, AsymmetricPaddingOracle) {
   const auto g = make_geom(5, 4, 3, 4, 3, 3, 1, 2, 1);  // pad_h=2, pad_w=1
@@ -1001,4 +1002,143 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
                                          kernels::Isa::kAvx2),
                  std::invalid_argument);
   }
+}
+
+// The packed-int4 reference kernels run the int8 loop nests with nibble
+// load/store: each must equal its int8 counterpart run on the unpacked values
+// (activation range narrowed to int4's [-8, 7]), byte for byte once packed.
+// Shapes are odd, strided and padded, with odd output rows so that every
+// other row starts mid-byte; bias, zero points and per-channel multipliers
+// vary; threads 1, 2 and 8 split the row-pair chunks differently.
+namespace {
+
+std::vector<int8_t> random_s4(Rng& rng, int64_t n) {
+  std::vector<int8_t> v(static_cast<size_t>(n));
+  for (auto& x : v) x = static_cast<int8_t>(rng.uniform_int(-8, 7));
+  return v;
+}
+
+std::vector<uint8_t> pack4(const std::vector<int8_t>& v) {
+  TensorI8 t(Shape{static_cast<int64_t>(v.size())});
+  std::copy(v.begin(), v.end(), t.data());
+  return quant::pack_int4(t);
+}
+
+std::vector<uint8_t> zeros4(int64_t n) {
+  return std::vector<uint8_t>(static_cast<size_t>(kernels::packed_size_s4(n)), 0);
+}
+
+// int4 zero points; an activation range inside [-8, 7], or the int8 default
+// that the int4 format must narrow itself.
+kernels::RequantParams random_rq4(Rng& rng, int32_t out_ch, bool per_channel) {
+  kernels::RequantParams rq = random_rq(rng, out_ch, per_channel);
+  rq.input_zp = static_cast<int32_t>(rng.uniform_int(-8, 7));
+  rq.output_zp = static_cast<int32_t>(rng.uniform_int(-8, 7));
+  rq.act_min = -128;
+  rq.act_max = 127;
+  if (rng.uniform() < 0.5) {
+    const auto a = static_cast<int32_t>(rng.uniform_int(-8, 7));
+    const auto b = static_cast<int32_t>(rng.uniform_int(-8, 7));
+    rq.act_min = std::min(a, b);
+    rq.act_max = std::max(a, b);
+  }
+  return rq;
+}
+
+// The same parameters with the activation range int4 can hold.
+kernels::RequantParams narrowed(kernels::RequantParams rq) {
+  rq.act_min = std::max(rq.act_min, -8);
+  rq.act_max = std::min(rq.act_max, 7);
+  return rq;
+}
+
+}  // namespace
+
+TEST(ReferenceInt4, EqualsInt8OnUnpackedValues) {
+  // in_h, in_w, in_ch, out_ch, kh, kw, stride, pad_h, pad_w
+  const int32_t conv_cases[][9] = {
+      {7, 5, 3, 5, 3, 3, 1, 1, 1},   // out 7x5x5: odd rows, odd row size
+      {9, 9, 5, 3, 3, 3, 2, 1, 1},   // stride 2, out 5x5x3
+      {6, 11, 4, 7, 3, 1, 2, 0, 1},  // asymmetric kernel and padding, out 2x7x7
+      {5, 3, 1, 1, 1, 1, 1, 0, 0},   // pointwise, one channel, out 5x3x1
+      {10, 4, 3, 1, 5, 3, 1, 2, 1},  // out 10x4x1
+      {3, 3, 7, 9, 3, 3, 2, 1, 1},   // odd in_ch: weight rows start mid-byte
+  };
+  const int32_t fc_cases[][2] = {{37, 11}, {64, 33}, {1, 1}, {17, 4}, {100, 65}};
+  int64_t checked = 0;
+  for (const int threads : {1, 2, 8}) {
+    parallel::set_threads(threads);
+    Rng rng(static_cast<uint64_t>(9100 + threads));
+    for (const auto& c : conv_cases) {
+      const auto g = make_geom(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], c[8]);
+      // The same geometry as a depthwise conv over in_ch channels.
+      auto dw = g;
+      dw.out_ch = dw.in_ch;
+      for (const bool per_channel : {false, true}) {
+        for (const bool with_bias : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "threads " << threads << " geometry " << c[0] << "x"
+                       << c[1] << "x" << c[2] << "->" << c[3] << " k" << c[4]
+                       << "x" << c[5] << " s" << c[6] << " per_channel "
+                       << per_channel << " bias " << with_bias);
+          const auto x = random_s4(rng, g.input_elements());
+          const auto w = random_s4(rng, int64_t{g.out_ch} * g.kh * g.kw * g.in_ch);
+          const auto bias = with_bias ? random_bias(rng, g.out_ch) : std::vector<int32_t>{};
+          const auto rq = random_rq4(rng, g.out_ch, per_channel);
+          std::vector<int8_t> y8(static_cast<size_t>(g.output_elements()));
+          kernels::conv2d_s8(x, w, bias, y8, g, narrowed(rq));
+          auto y4 = zeros4(g.output_elements());
+          kernels::conv2d_s4(pack4(x), pack4(w), bias, y4, g, rq);
+          EXPECT_EQ(y4, pack4(y8)) << "conv2d_s4";
+
+          const auto wd = random_s4(rng, int64_t{dw.kh} * dw.kw * dw.in_ch);
+          const auto bd = with_bias ? random_bias(rng, dw.out_ch) : std::vector<int32_t>{};
+          const auto rqd = random_rq4(rng, dw.out_ch, per_channel);
+          std::vector<int8_t> d8(static_cast<size_t>(dw.output_elements()));
+          kernels::depthwise_conv2d_s8(x, wd, bd, d8, dw, narrowed(rqd));
+          auto d4 = zeros4(dw.output_elements());
+          kernels::depthwise_conv2d_s4(pack4(x), pack4(wd), bd, d4, dw, rqd);
+          EXPECT_EQ(d4, pack4(d8)) << "depthwise_conv2d_s4";
+
+          kernels::PoolGeometry pg;
+          pg.in_h = g.in_h;
+          pg.in_w = g.in_w;
+          pg.ch = g.in_ch;
+          pg.out_h = g.out_h;
+          pg.out_w = g.out_w;
+          pg.kh = g.kh;
+          pg.kw = g.kw;
+          pg.stride = g.stride;
+          pg.pad_h = g.pad_h;
+          pg.pad_w = g.pad_w;
+          const int64_t pooled = int64_t{pg.out_h} * pg.out_w * pg.ch;
+          std::vector<int8_t> p8(static_cast<size_t>(pooled));
+          kernels::avg_pool_s8(x, p8, pg, std::max(rq.act_min, -8),
+                               std::min(rq.act_max, 7));
+          auto p4 = zeros4(pooled);
+          kernels::avg_pool_s4(pack4(x), p4, pg, rq.act_min, rq.act_max);
+          EXPECT_EQ(p4, pack4(p8)) << "avg_pool_s4";
+          checked += 3;
+        }
+      }
+    }
+    for (const auto& [in_f, out_f] : fc_cases) {
+      for (const bool per_channel : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "threads " << threads << " fc "
+                                          << in_f << "->" << out_f);
+        const auto x = random_s4(rng, in_f);
+        const auto w = random_s4(rng, int64_t{in_f} * out_f);
+        const auto bias = random_bias(rng, out_f);
+        const auto rq = random_rq4(rng, out_f, per_channel);
+        std::vector<int8_t> y8(static_cast<size_t>(out_f));
+        kernels::fully_connected_s8(x, w, bias, y8, in_f, out_f, narrowed(rq));
+        auto y4 = zeros4(out_f);
+        kernels::fully_connected_s4(pack4(x), pack4(w), bias, y4, in_f, out_f, rq);
+        EXPECT_EQ(y4, pack4(y8)) << "fully_connected_s4";
+        ++checked;
+      }
+    }
+  }
+  parallel::set_threads(0);
+  EXPECT_EQ(checked, 3 * (6 * 2 * 2 * 3 + 5 * 2));
 }

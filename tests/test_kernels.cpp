@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "kernels/kernels.hpp"
@@ -356,6 +357,90 @@ TEST(KernelsS4, AvgPoolStaysInRange) {
     EXPECT_GE(load_s4(yp, i), -8);
     EXPECT_LE(load_s4(yp, i), 7);
   }
+}
+
+
+// Every int4 entry point rejects an input, weight or output buffer too short
+// for its geometry, as the int8 ones do, instead of reading or writing past
+// its end; depthwise also rejects in_ch != out_ch in both formats.
+TEST(KernelsS4, ShortBuffersThrowLikeInt8) {
+  ConvGeometry g;
+  g.in_h = g.in_w = 5;
+  g.in_ch = g.out_ch = 3;
+  g.kh = g.kw = 3;
+  g.pad_h = g.pad_w = 1;
+  g.out_h = g.out_w = 5;
+  RequantParams rq;
+  rq.mult = quant::quantize_multiplier(0.01);
+  const int64_t n_in = g.input_elements(), n_out = g.output_elements();
+  const int64_t n_w = int64_t{g.out_ch} * g.kh * g.kw * g.in_ch;
+  const int64_t n_dw = int64_t{g.kh} * g.kw * g.in_ch;
+  const int32_t in_f = 9, out_f = 5;
+  PoolGeometry pg;
+  pg.in_h = pg.in_w = 5;
+  pg.ch = 3;
+  pg.out_h = pg.out_w = 2;
+  pg.kh = pg.kw = 2;
+  pg.stride = 2;
+  const int64_t n_pool_in = 5 * 5 * 3, n_pool_out = 2 * 2 * 3;
+  // n elements of each format, minus `cut` bytes.
+  const auto s4 = [](int64_t n, int64_t cut) {
+    return std::vector<uint8_t>(static_cast<size_t>(packed_size_s4(n) - cut));
+  };
+  const auto s8 = [](int64_t n, int64_t cut) {
+    return std::vector<int8_t>(static_cast<size_t>(n - cut));
+  };
+  for (int cut_in = 0; cut_in <= 1; ++cut_in)
+    for (int cut_w = 0; cut_w <= 1; ++cut_w)
+      for (int cut_out = 0; cut_out <= 1; ++cut_out) {
+        SCOPED_TRACE(::testing::Message() << "short input " << cut_in << " weights "
+                                          << cut_w << " output " << cut_out);
+        const bool any = cut_in + cut_w + cut_out > 0;
+        auto x4 = s4(n_in, cut_in), y4 = s4(n_out, cut_out);
+        auto x8 = s8(n_in, cut_in), y8 = s8(n_out, cut_out);
+        auto w4 = s4(n_w, cut_w), dw4 = s4(n_dw, cut_w);
+        auto w8 = s8(n_w, cut_w), dw8 = s8(n_dw, cut_w);
+        auto f4 = s4(in_f, cut_in), fw4 = s4(int64_t{in_f} * out_f, cut_w);
+        auto fo4 = s4(out_f, cut_out);
+        auto f8 = s8(in_f, cut_in), fw8 = s8(int64_t{in_f} * out_f, cut_w);
+        auto fo8 = s8(out_f, cut_out);
+        if (any) {
+          EXPECT_THROW(conv2d_s4(x4, w4, {}, y4, g, rq), std::invalid_argument);
+          EXPECT_THROW(conv2d_s8(x8, w8, {}, y8, g, rq), std::invalid_argument);
+          EXPECT_THROW(depthwise_conv2d_s4(x4, dw4, {}, y4, g, rq), std::invalid_argument);
+          EXPECT_THROW(depthwise_conv2d_s8(x8, dw8, {}, y8, g, rq), std::invalid_argument);
+          EXPECT_THROW(fully_connected_s4(f4, fw4, {}, fo4, in_f, out_f, rq),
+                       std::invalid_argument);
+          EXPECT_THROW(fully_connected_s8(f8, fw8, {}, fo8, in_f, out_f, rq),
+                       std::invalid_argument);
+        } else {
+          EXPECT_NO_THROW(conv2d_s4(x4, w4, {}, y4, g, rq));
+          EXPECT_NO_THROW(conv2d_s8(x8, w8, {}, y8, g, rq));
+          EXPECT_NO_THROW(depthwise_conv2d_s4(x4, dw4, {}, y4, g, rq));
+          EXPECT_NO_THROW(depthwise_conv2d_s8(x8, dw8, {}, y8, g, rq));
+          EXPECT_NO_THROW(fully_connected_s4(f4, fw4, {}, fo4, in_f, out_f, rq));
+          EXPECT_NO_THROW(fully_connected_s8(f8, fw8, {}, fo8, in_f, out_f, rq));
+        }
+        if (cut_w != 0) continue;  // pooling reads no weights
+        auto p4 = s4(n_pool_in, cut_in), q4 = s4(n_pool_out, cut_out);
+        auto p8 = s8(n_pool_in, cut_in), q8 = s8(n_pool_out, cut_out);
+        if (any) {
+          EXPECT_THROW(avg_pool_s4(p4, q4, pg, -8, 7), std::invalid_argument);
+          EXPECT_THROW(avg_pool_s8(p8, q8, pg, -128, 127), std::invalid_argument);
+        } else {
+          EXPECT_NO_THROW(avg_pool_s4(p4, q4, pg, -8, 7));
+          EXPECT_NO_THROW(avg_pool_s8(p8, q8, pg, -128, 127));
+        }
+      }
+  ConvGeometry mixed = g;
+  mixed.out_ch = 4;
+  std::vector<uint8_t> x4(static_cast<size_t>(packed_size_s4(n_in)));
+  std::vector<uint8_t> dw4(static_cast<size_t>(packed_size_s4(n_dw)));
+  std::vector<uint8_t> y4(static_cast<size_t>(packed_size_s4(mixed.output_elements())));
+  EXPECT_THROW(depthwise_conv2d_s4(x4, dw4, {}, y4, mixed, rq), std::invalid_argument);
+  std::vector<int8_t> x8(static_cast<size_t>(n_in)), dw8(static_cast<size_t>(n_dw));
+  std::vector<int8_t> y8(static_cast<size_t>(mixed.output_elements()));
+  EXPECT_THROW(depthwise_conv2d_s8(x8, dw8, {}, y8, mixed, rq), std::invalid_argument);
 }
 
 }  // namespace
