@@ -136,7 +136,9 @@ int main(int argc, char** argv) {
   double energy_total_uj = 0.0;
   for (double e : energy_uj) energy_total_uj += e;
   std::vector<double> occupancy;
-  for (int64_t b : interp.op_live_bytes()) occupancy.push_back(static_cast<double>(b));
+  for (int64_t b : interp.memory_plan().occupancy_timeline(
+           static_cast<int>(interp.model().ops.size())))
+    occupancy.push_back(static_cast<double>(b));
   report.series("kws_arena_live_bytes_per_op", occupancy);
   report.series("kws_op_energy_uj", energy_uj);
 

@@ -107,7 +107,6 @@ class Pipeline {
   explicit Pipeline(CompileConfig cfg) : cfg_(cfg) {}
 
   CompileReport run(rt::ModelDef& model) const;
-  const CompileConfig& config() const { return cfg_; }
 
  private:
   CompileConfig cfg_;

@@ -36,6 +36,11 @@
 // runs 1x1 convs through conv2d_s8_fast. The Interpreter picks the variant
 // once at construction from the CPU (host_isa()); there is no knob.
 //
+// Backends differ in speed only, not in what an op reports: the Interpreter
+// accounts for every op from its prepared record, whichever kernel ran it,
+// so MAC and byte counters read the same on both backends (the im2col
+// counter differs: it counts the column buffers that were gathered).
+//
 // The contract that makes a second backend safe at all: for every geometry,
 // every Isa and every MN_THREADS, a claimed op's output is BYTE-IDENTICAL to
 // the reference kernel's (tests/test_backends.cpp). Integer accumulation is

@@ -6,6 +6,12 @@
 // nibbles as it loads and repacks them as it stores, around the same int32
 // multiply-accumulate — the paper's custom CMSIS-NN extension (§5.1.3); the
 // pack/unpack latency is modeled (as negligible) by mcu::, not here.
+//
+// Every kernel checks its spans against the geometry it is given and throws
+// std::invalid_argument when one is too short. Kernels are pure compute: they
+// count nothing. rt::Interpreter accounts for each op it runs (MACs, bytes,
+// im2col churn) from its prepared record (DESIGN.md §10), so a direct kernel
+// call moves no obs counter.
 #pragma once
 
 #include <algorithm>

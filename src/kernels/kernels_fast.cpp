@@ -37,7 +37,6 @@
 #endif
 
 #include "kernels/backend.hpp"
-#include "obs/obs.hpp"
 #include "parallel/pool.hpp"
 
 namespace mn::kernels {
@@ -445,12 +444,6 @@ void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed
   const int32_t* b = bias_ptr(bias, g.out_ch, "conv2d_s8_fast");
   check_requant(rq, g.out_ch, "conv2d_s8_fast");
   const int64_t row_stride = packed.row_stride;
-  obs::counter_add(obs::Counter::kKernelMacs, g.macs(/*depthwise=*/false));
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   g.input_elements() + int64_t{g.out_ch} * ksize);
-  obs::counter_add(obs::Counter::kKernelBytesWritten, g.output_elements());
-  obs::counter_add(obs::Counter::kIm2colBytes,
-                   int64_t{g.out_h} * g.out_w * ksize);
   // Padding slots hold the raw zero point (the loop dots x*w directly; the
   // -zp*sum_w initializer turns that contribution into exactly zero).
   const int8_t pad_value =
@@ -519,10 +512,6 @@ void conv2d_s8_1x1_fast(std::span<const int8_t> input,
     throw std::invalid_argument("conv2d_s8_1x1_fast: buffer too small");
   const int32_t* b = bias_ptr(bias, g.out_ch, "conv2d_s8_1x1_fast");
   check_requant(rq, g.out_ch, "conv2d_s8_1x1_fast");
-  obs::counter_add(obs::Counter::kKernelMacs, g.macs(/*depthwise=*/false));
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   g.input_elements() + int64_t{g.out_ch} * g.in_ch);
-  obs::counter_add(obs::Counter::kKernelBytesWritten, g.output_elements());
   const int64_t row_pixels = g.out_w;
   parallel::parallel_for(0, g.out_h, [&](int64_t oy_lo, int64_t oy_hi) {
     const int64_t p0 = oy_lo * row_pixels;
@@ -553,10 +542,6 @@ void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
         "depthwise_conv2d_s8_fast: input zero point outside int8");
   const int32_t* b = bias_ptr(bias, ch, "depthwise_conv2d_s8_fast");
   check_requant(rq, ch, "depthwise_conv2d_s8_fast");
-  obs::counter_add(obs::Counter::kKernelMacs, g.macs(/*depthwise=*/true));
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   g.input_elements() + int64_t{g.kh} * g.kw * ch);
-  obs::counter_add(obs::Counter::kKernelBytesWritten, g.output_elements());
   const int64_t row_stride = packed.row_stride;
   const int8_t* x = input.data();
   const int8_t* w = packed.rows.data();
@@ -647,11 +632,6 @@ void fully_connected_s8_fast(std::span<const int8_t> input,
     throw std::invalid_argument("fully_connected_s8_fast: buffer too small");
   const int32_t* b = bias_ptr(bias, out_features, "fully_connected_s8_fast");
   check_requant(rq, out_features, "fully_connected_s8_fast");
-  obs::counter_add(obs::Counter::kKernelMacs,
-                   int64_t{in_features} * out_features);
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   in_features + int64_t{in_features} * out_features);
-  obs::counter_add(obs::Counter::kKernelBytesWritten, out_features);
   // The input is the caller's span (no padded copy), so the dot runs over
   // in_features and takes the scalar tail; packed rows store the real
   // weights in their first row_len bytes.

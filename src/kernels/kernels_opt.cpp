@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "kernels/kernels.hpp"
-#include "obs/obs.hpp"
 #include "parallel/pool.hpp"
 
 namespace mn::kernels {
@@ -29,14 +28,6 @@ void conv2d_s8_im2col(std::span<const int8_t> input,
       static_cast<int64_t>(weights.size()) < int64_t{g.out_ch} * ksize ||
       static_cast<int64_t>(output.size()) < g.output_elements())
     throw std::invalid_argument("conv2d_s8_im2col: buffer too small");
-  obs::counter_add(obs::Counter::kKernelMacs, g.macs(/*depthwise=*/false));
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   g.input_elements() + int64_t{g.out_ch} * ksize);
-  obs::counter_add(obs::Counter::kKernelBytesWritten, g.output_elements());
-  // One gathered column per output pixel: the buffer-churn the CMSIS-NN
-  // scratch pays for its dense inner loop.
-  obs::counter_add(obs::Counter::kIm2colBytes,
-                   int64_t{g.out_h} * g.out_w * ksize);
   // The zero-point-adjusted zero patch value: kernels accumulate
   // (x - input_zp) * w, so padded positions must contribute 0, i.e. the
   // column buffer stores x and the loop subtracts input_zp — padding slots

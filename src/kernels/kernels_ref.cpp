@@ -10,7 +10,6 @@
 #include <string>
 
 #include "kernels/kernels.hpp"
-#include "obs/obs.hpp"
 #include "parallel/pool.hpp"
 
 namespace mn::kernels {
@@ -82,10 +81,6 @@ void conv2d(std::span<const typename F::Byte> input,
   require<F>(input.size(), g.input_elements(), kernel);
   require<F>(weights.size(), g.out_ch * ksize, kernel);
   require<F>(output.size(), g.output_elements(), kernel);
-  obs::counter_add(obs::Counter::kKernelMacs, g.macs(/*depthwise=*/false));
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   F::bytes(g.input_elements()) + F::bytes(g.out_ch * ksize));
-  obs::counter_add(obs::Counter::kKernelBytesWritten, F::bytes(g.output_elements()));
   const int32_t lo = std::max(rq.act_min, F::kMin), hi = std::min(rq.act_max, F::kMax);
   const auto* x = input.data();
   const auto* w = weights.data();
@@ -130,10 +125,6 @@ void depthwise_conv2d(std::span<const typename F::Byte> input,
   require<F>(input.size(), g.input_elements(), kernel);
   require<F>(weights.size(), wsize, kernel);
   require<F>(output.size(), g.output_elements(), kernel);
-  obs::counter_add(obs::Counter::kKernelMacs, g.macs(/*depthwise=*/true));
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   F::bytes(g.input_elements()) + F::bytes(wsize));
-  obs::counter_add(obs::Counter::kKernelBytesWritten, F::bytes(g.output_elements()));
   const int32_t lo = std::max(rq.act_min, F::kMin), hi = std::min(rq.act_max, F::kMax);
   const auto* x = input.data();
   const auto* w = weights.data();
@@ -174,10 +165,6 @@ void fully_connected(std::span<const typename F::Byte> input,
   require<F>(input.size(), in_features, kernel);
   require<F>(weights.size(), wsize, kernel);
   require<F>(output.size(), out_features, kernel);
-  obs::counter_add(obs::Counter::kKernelMacs, wsize);
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   F::bytes(in_features) + F::bytes(wsize));
-  obs::counter_add(obs::Counter::kKernelBytesWritten, F::bytes(out_features));
   const int32_t lo = std::max(rq.act_min, F::kMin), hi = std::min(rq.act_max, F::kMax);
   const auto* x = input.data();
   const auto* w = weights.data();
@@ -204,8 +191,6 @@ void avg_pool(std::span<const typename F::Byte> input,
   const int64_t out_elements = int64_t{g.out_h} * g.out_w * g.ch;
   require<F>(input.size(), in_elements, kernel);
   require<F>(output.size(), out_elements, kernel);
-  obs::counter_add(obs::Counter::kKernelBytesRead, F::bytes(in_elements));
-  obs::counter_add(obs::Counter::kKernelBytesWritten, F::bytes(out_elements));
   const int32_t lo = std::max(act_min, F::kMin), hi = std::min(act_max, F::kMax);
   const auto* x = input.data();
   auto* y = output.data();
@@ -300,10 +285,8 @@ void store_s4(std::span<uint8_t> packed, int64_t index, int8_t value) {
 
 void max_pool_s8(std::span<const int8_t> input, std::span<int8_t> output,
                  const PoolGeometry& g, int32_t act_min, int32_t act_max) {
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   int64_t{g.in_h} * g.in_w * g.ch);
-  obs::counter_add(obs::Counter::kKernelBytesWritten,
-                   int64_t{g.out_h} * g.out_w * g.ch);
+  require<S8>(input.size(), int64_t{g.in_h} * g.in_w * g.ch, "max_pool_s8");
+  require<S8>(output.size(), int64_t{g.out_h} * g.out_w * g.ch, "max_pool_s8");
   for (int32_t oy = 0; oy < g.out_h; ++oy) {
     for (int32_t ox = 0; ox < g.out_w; ++ox) {
       int8_t* out_px = output.data() + (int64_t{oy} * g.out_w + ox) * g.ch;
@@ -328,10 +311,6 @@ void add_s8(std::span<const int8_t> a, std::span<const int8_t> b,
             std::span<int8_t> output, const AddParams& p) {
   if (a.size() != b.size() || a.size() != output.size())
     throw std::invalid_argument("add_s8: size mismatch");
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   static_cast<int64_t>(a.size() + b.size()));
-  obs::counter_add(obs::Counter::kKernelBytesWritten,
-                   static_cast<int64_t>(output.size()));
   for (size_t i = 0; i < a.size(); ++i) {
     const int32_t sa = (static_cast<int32_t>(a[i]) - p.a_zp) << p.left_shift;
     const int32_t sb = (static_cast<int32_t>(b[i]) - p.b_zp) << p.left_shift;
@@ -347,8 +326,9 @@ void softmax_s8(std::span<const int8_t> input, std::span<int8_t> output,
                 int32_t rows, int32_t cols, float input_scale) {
   // Float-internal softmax quantized to the TFLite convention
   // (scale 1/256, zero point -128).
-  obs::counter_add(obs::Counter::kKernelBytesRead, int64_t{rows} * cols);
-  obs::counter_add(obs::Counter::kKernelBytesWritten, int64_t{rows} * cols);
+  if (rows > 0 && cols <= 0) invalid("softmax_s8", "empty row");
+  require<S8>(input.size(), int64_t{rows} * cols, "softmax_s8");
+  require<S8>(output.size(), int64_t{rows} * cols, "softmax_s8");
   for (int32_t r = 0; r < rows; ++r) {
     const int8_t* in = input.data() + int64_t{r} * cols;
     int8_t* out = output.data() + int64_t{r} * cols;

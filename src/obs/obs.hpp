@@ -15,9 +15,9 @@
 //     model images stay bit-identical with tracing on or off — tests/test_obs
 //     asserts this).
 //
-// Runtime switches (enabled builds): counters always accumulate (one relaxed
-// atomic add per kernel call); span recording is opt-in via set_tracing(true)
-// and reads the clock only while on.
+// Runtime switches (enabled builds): counters always accumulate (a few
+// relaxed atomic adds per interpreter op); span recording is opt-in via
+// set_tracing(true) and reads the clock only while on.
 #pragma once
 
 #include <cstddef>
@@ -28,10 +28,12 @@ namespace mn::obs {
 
 // Well-known counters. Monotonic sums; reset with reset_counters().
 enum class Counter : uint32_t {
-  kKernelMacs = 0,       // multiply-accumulates executed by the integer kernels
-  kKernelBytesRead,      // input + weight bytes streamed by kernel calls
-  kKernelBytesWritten,   // output bytes produced by kernel calls
-  kIm2colBytes,          // column-buffer bytes staged by the im2col conv path
+  // The four kernel counters are added once per op by rt::Interpreter from
+  // the op's prepared record; a direct kernel call counts nothing.
+  kKernelMacs = 0,       // multiply-accumulates of the ops the Interpreter ran
+  kKernelBytesRead,      // their input + weight (add: both inputs) bytes
+  kKernelBytesWritten,   // their output bytes
+  kIm2colBytes,          // column-buffer bytes staged by gather convs
   kInterpreterInvokes,   // Interpreter inferences served
   kInterpreterOps,       // ops dispatched by Interpreter::run_op
   kPoolRegions,          // parallel regions executed (incl. serial fallback)

@@ -10,9 +10,6 @@
 
 namespace mn::rt {
 
-// activation_range (the fused-activation clamp in the quantized domain)
-// lives in model.cpp now, shared with the compile:: passes.
-
 namespace {
 constexpr uint8_t kCanaryByte = 0xA5;
 
@@ -102,7 +99,6 @@ Interpreter::Interpreter(ModelDef model, MemoryPlan plan,
   scratch_.assign(static_cast<size_t>(scratch), 0);
   expected_weights_crc_ = model_.weights_crc();
   op_wall_ns_.assign(model_.ops.size(), 0);
-  op_live_bytes_ = plan_.occupancy_timeline(static_cast<int>(model_.ops.size()));
   obs::gauge_set_max(obs::Gauge::kArenaPeakBytes, plan_.arena_bytes);
   obs::gauge_set_max(obs::Gauge::kScratchPeakBytes, scratch);
   obs::gauge_set_max(obs::Gauge::kArenaLiveBytesPeak,
@@ -183,8 +179,8 @@ std::span<uint8_t> Interpreter::bytes(const Operand& o) {
   return {base + o.offset, static_cast<size_t>(o.bytes)};
 }
 
-// Resolves every op into its PreparedOp and serving backend, and records the
-// first op the kernels cannot run (in the order an invoke would reach it).
+// Resolves every op into its PreparedOp, and records the first op the kernels
+// cannot run (in the order an invoke would reach it).
 void Interpreter::prepare() {
   auto unsupported = [&](const char* why) {
     if (!unsupported_)
@@ -195,7 +191,6 @@ void Interpreter::prepare() {
   output_ = operand(model_.output_tensor);
   if (input_.in_blob) unsupported("not an arena tensor");
   ops_.resize(model_.ops.size());
-  op_backend_.resize(model_.ops.size());
   for (size_t i = 0; i < model_.ops.size(); ++i) {
     const OpDef& op = model_.ops[i];
     PreparedOp& p = ops_[i];
@@ -203,11 +198,11 @@ void Interpreter::prepare() {
       if (op.inputs[k] >= 0) p.in[k] = operand(op.inputs[k]);
     p.out = operand(op.output);
     p.macs = op.macs(model_.tensors);
+    p.live_bytes = plan_.live_bytes_at(static_cast<int>(i));
     const TensorDef& in = model_.tensors[static_cast<size_t>(op.inputs[0])];
     const TensorDef& out = model_.tensors[static_cast<size_t>(op.output)];
     const int bits = in.bits;
     const bool fast = packed_->per_op[i] != nullptr;
-    op_backend_[i] = fast ? backend_.kind : kernels::BackendKind::kReference;
     const bool bits_ok = bits == 8 || bits == 4;
     if (!bits_ok) unsupported("unsupported activation bits");
     switch (op.type) {
@@ -324,12 +319,21 @@ std::span<const int32_t> as_s32(std::span<const uint8_t> b) {
 }
 }  // namespace
 
+kernels::BackendKind Interpreter::op_backend(size_t op_index) const {
+  switch (ops_[op_index].kernel) {
+    case Kernel::kConvPw:
+    case Kernel::kConvFast:
+    case Kernel::kDwFast:
+    case Kernel::kFcFast:
+      return kernels::BackendKind::kFast;
+    default:
+      return kernels::BackendKind::kReference;
+  }
+}
+
 void Interpreter::run_op(size_t i) {
   const PreparedOp& p = ops_[i];
-  const bool fast = op_backend_[i] == kernels::BackendKind::kFast;
-  obs::counter_add(fast ? obs::Counter::kBackendFastOps
-                        : obs::Counter::kBackendReferenceOps,
-                   1);
+  const bool fast = op_backend(i) == kernels::BackendKind::kFast;
   // Fast-served ops get a nested span so traces show which backend executed
   // them; the reference path keeps its historical trace shape.
   std::optional<obs::SpanScope> backend_span;
@@ -399,6 +403,20 @@ void Interpreter::run_op(size_t i) {
     case Kernel::kUnsupported:
       break;
   }
+  // The op's accounting, once, from its record: the kernels count nothing.
+  // Operand bytes are storage bytes (packed for int4); in[1] is the weights
+  // or an add's second input, and absent (0 bytes) for pools and softmax.
+  obs::counter_add(fast ? obs::Counter::kBackendFastOps
+                        : obs::Counter::kBackendReferenceOps,
+                   1);
+  obs::counter_add(obs::Counter::kKernelMacs, p.macs);
+  obs::counter_add(obs::Counter::kKernelBytesRead, p.in[0].bytes + p.in[1].bytes);
+  obs::counter_add(obs::Counter::kKernelBytesWritten, p.out.bytes);
+  // A conv with scratch gathers one im2col column per output pixel.
+  if (p.scratch_bytes > 0)
+    obs::counter_add(obs::Counter::kIm2colBytes,
+                     int64_t{p.conv.out_h} * p.conv.out_w * p.conv.kh *
+                         p.conv.kw * p.conv.in_ch);
 }
 
 Expected<TensorI8> Interpreter::try_invoke_quantized(const TensorI8& input) {
@@ -447,7 +465,7 @@ Expected<TensorI8> Interpreter::try_invoke_quantized(const TensorI8& input) {
         // and — when a table was injected — the op's predicted energy.
         if (obs::tracing_enabled()) {
           obs::trace_counter("arena_bytes",
-                             static_cast<double>(op_live_bytes_[i]));
+                             static_cast<double>(ops_[i].live_bytes));
           obs::trace_counter("scratch_bytes",
                              static_cast<double>(ops_[i].scratch_bytes));
           obs::trace_counter(
@@ -522,7 +540,7 @@ ProfileReport Interpreter::profile_report() const {
     op.type = model_.ops[i].type;
     op.output_name =
         model_.tensors[static_cast<size_t>(model_.ops[i].output)].name;
-    op.backend = kernels::backend_name(op_backend_[i]);
+    op.backend = kernels::backend_name(op_backend(i));
     op.macs = ops_[i].macs;
     op.invocations = profiled_invocations_;
     op.wall_ns = op_wall_ns_[i];

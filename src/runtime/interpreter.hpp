@@ -1,10 +1,12 @@
 // Interpreter: executes a ModelDef using the integer kernels, with all
 // activations placed in a single planned arena — the TFLM execution model.
 // Construction is TFLM's Prepare/AllocateTensors: every per-op decision
-// (kernel, operand offsets, requant and geometry, MACs, scratch) is made
-// once; invoke only runs kernels. Also provides the memory-recording report
-// (TFLM RecordingMicroInterpreter analog) that the paper uses to obtain
-// SRAM numbers.
+// (kernel, operand offsets, requant and geometry, MACs, scratch, live arena
+// bytes) is made once, into one PreparedOp record per op; invoke runs the
+// kernels and accounts for each op once from its record (the kernels count
+// nothing themselves). Also provides the memory-recording report (TFLM
+// RecordingMicroInterpreter analog) that the paper uses to obtain SRAM
+// numbers.
 #pragma once
 
 #include <memory>
@@ -146,12 +148,7 @@ class Interpreter {
   // per-op claim-or-fall-back, and the shared packed panels (nullptr-free;
   // reference configs get an empty PackedModel).
   kernels::BackendKind backend() const { return backend_.kind; }
-  kernels::BackendKind op_backend(size_t op_index) const {
-    return op_backend_[op_index];
-  }
-  const std::vector<kernels::BackendKind>& op_backends() const {
-    return op_backend_;
-  }
+  kernels::BackendKind op_backend(size_t op_index) const;
   const std::shared_ptr<const PackedModel>& packed_model() const {
     return packed_;
   }
@@ -177,9 +174,8 @@ class Interpreter {
   // Installing a per-op energy table (from mcu::per_op_energy_uj; one entry
   // per op, microjoules) adds the "op_energy_uj" track. The runtime cannot
   // depend on mcu, so the table is injected rather than computed here.
+  // The arena_bytes samples replay memory_plan().occupancy_timeline().
   void set_op_energy_uj(std::vector<double> energy_uj);
-  // Per-op live activation bytes, index-aligned with model().ops.
-  const std::vector<int64_t>& op_live_bytes() const { return op_live_bytes_; }
 
  private:
   // The kernel an op runs, chosen at construction from the backend's claim
@@ -198,7 +194,8 @@ class Interpreter {
     int64_t offset = 0;
     int64_t bytes = 0;
   };
-  // Everything one op needs at invoke, resolved once.
+  // Everything one op needs at invoke, resolved once — and the op's only
+  // record: the backend, obs counters and counter tracks all read it.
   struct PreparedOp {
     Kernel kernel = Kernel::kUnsupported;
     Operand in[3];  // OpDef::inputs order: {input, weights, bias} / {a, b}
@@ -212,6 +209,7 @@ class Interpreter {
     float softmax_scale = 0.f;
     int64_t macs = 0;
     int64_t scratch_bytes = 0;      // conv scratch the kernel uses
+    int64_t live_bytes = 0;         // activation bytes live while it runs
   };
 
   void prepare();
@@ -242,10 +240,6 @@ class Interpreter {
   bool profiling_ = false;
   std::vector<int64_t> op_wall_ns_;
   int64_t profiled_invocations_ = 0;
-  // Per-op views behind the by-reference accessors, filled at construction:
-  // the serving backend and the live arena bytes (from the plan).
-  std::vector<kernels::BackendKind> op_backend_;
-  std::vector<int64_t> op_live_bytes_;
   std::vector<double> op_energy_uj_;  // optional injected energy table
 };
 

@@ -712,8 +712,8 @@ TEST(BackendInterpreter, FastInvokeIsByteIdenticalToReference) {
     (fast.op_backend(i) == kernels::BackendKind::kFast ? fast_ops : ref_ops)++;
   EXPECT_GT(fast_ops, 0);
   EXPECT_GT(ref_ops, 0);
-  for (const auto kind : ref.op_backends())
-    EXPECT_EQ(kind, kernels::BackendKind::kReference);
+  for (size_t i = 0; i < m.ops.size(); ++i)
+    EXPECT_EQ(ref.op_backend(i), kernels::BackendKind::kReference);
   for (int trial = 0; trial < 4; ++trial) {
     const TensorI8 in = random_input(m, 700 + static_cast<uint64_t>(trial));
     const TensorI8 out_ref = ref.invoke_quantized(in);

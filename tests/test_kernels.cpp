@@ -361,8 +361,9 @@ TEST(KernelsS4, AvgPoolStaysInRange) {
 
 
 // Every int4 entry point rejects an input, weight or output buffer too short
-// for its geometry, as the int8 ones do, instead of reading or writing past
-// its end; depthwise also rejects in_ch != out_ch in both formats.
+// for its geometry, as the int8 ones do (the int8-only max pool and softmax
+// included), instead of reading or writing past its end; depthwise also
+// rejects in_ch != out_ch in both formats.
 TEST(KernelsS4, ShortBuffersThrowLikeInt8) {
   ConvGeometry g;
   g.in_h = g.in_w = 5;
@@ -421,15 +422,21 @@ TEST(KernelsS4, ShortBuffersThrowLikeInt8) {
           EXPECT_NO_THROW(fully_connected_s4(f4, fw4, {}, fo4, in_f, out_f, rq));
           EXPECT_NO_THROW(fully_connected_s8(f8, fw8, {}, fo8, in_f, out_f, rq));
         }
-        if (cut_w != 0) continue;  // pooling reads no weights
+        if (cut_w != 0) continue;  // pooling and softmax read no weights
         auto p4 = s4(n_pool_in, cut_in), q4 = s4(n_pool_out, cut_out);
         auto p8 = s8(n_pool_in, cut_in), q8 = s8(n_pool_out, cut_out);
+        // Softmax over 3 rows of 5 (int8 only).
+        auto sm_in = s8(15, cut_in), sm_out = s8(15, cut_out);
         if (any) {
           EXPECT_THROW(avg_pool_s4(p4, q4, pg, -8, 7), std::invalid_argument);
           EXPECT_THROW(avg_pool_s8(p8, q8, pg, -128, 127), std::invalid_argument);
+          EXPECT_THROW(max_pool_s8(p8, q8, pg, -128, 127), std::invalid_argument);
+          EXPECT_THROW(softmax_s8(sm_in, sm_out, 3, 5, 0.1f), std::invalid_argument);
         } else {
           EXPECT_NO_THROW(avg_pool_s4(p4, q4, pg, -8, 7));
           EXPECT_NO_THROW(avg_pool_s8(p8, q8, pg, -128, 127));
+          EXPECT_NO_THROW(max_pool_s8(p8, q8, pg, -128, 127));
+          EXPECT_NO_THROW(softmax_s8(sm_in, sm_out, 3, 5, 0.1f));
         }
       }
   ConvGeometry mixed = g;
@@ -441,6 +448,8 @@ TEST(KernelsS4, ShortBuffersThrowLikeInt8) {
   std::vector<int8_t> x8(static_cast<size_t>(n_in)), dw8(static_cast<size_t>(n_dw));
   std::vector<int8_t> y8(static_cast<size_t>(mixed.output_elements()));
   EXPECT_THROW(depthwise_conv2d_s8(x8, dw8, {}, y8, mixed, rq), std::invalid_argument);
+  // A softmax row needs at least one element to take its max from.
+  EXPECT_THROW(softmax_s8({}, {}, 1, 0, 0.1f), std::invalid_argument);
 }
 
 }  // namespace

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "datasets/dataset.hpp"
-#include "kernels/kernels.hpp"
+#include "kernels/backend.hpp"
 #include "mcu/perf_model.hpp"
 #include "models/backbones.hpp"
 #include "nn/checkpoint.hpp"
@@ -70,18 +70,6 @@ TEST_F(ObsTest, GaugesKeepHighWaterMark) {
   EXPECT_EQ(obs::gauge_value(obs::Gauge::kArenaPeakBytes), 512);
   obs::gauge_set_max(obs::Gauge::kArenaPeakBytes, 1024);
   EXPECT_EQ(obs::gauge_value(obs::Gauge::kArenaPeakBytes), 1024);
-}
-
-TEST_F(ObsTest, KernelCallCountsMacsAndBytes) {
-  // 3-in, 2-out FC: 6 MACs, reads 3 input + 6 weight bytes, writes 2.
-  const std::vector<int8_t> in{1, 2, 3}, w{1, 0, 0, 0, 1, 0};
-  std::vector<int8_t> out(2);
-  kernels::RequantParams rq;
-  rq.mult = quant::quantize_multiplier(0.5);
-  kernels::fully_connected_s8(in, w, {}, out, 3, 2, rq);
-  EXPECT_EQ(obs::counter_value(obs::Counter::kKernelMacs), 6);
-  EXPECT_EQ(obs::counter_value(obs::Counter::kKernelBytesRead), 9);
-  EXPECT_EQ(obs::counter_value(obs::Counter::kKernelBytesWritten), 2);
 }
 
 TEST_F(ObsTest, SpanRecordsOnlyWhileTracing) {
@@ -502,7 +490,21 @@ TEST_F(ObsTest, MetricsJsonListsEveryCounterAndGauge) {
 
 // --- interpreter profiling (works in both MN_OBS configurations) ------------
 
-rt::ModelDef profiled_model(uint64_t seed) {
+// Calibrates `g` on two random images of shape `input` and converts it.
+rt::ModelDef converted(nn::Graph& g, const Shape& input, uint64_t seed,
+                       const char* name, int bits) {
+  Rng rng(seed + 1);
+  TensorF batch(Shape{2, input.dim(0), input.dim(1), input.dim(2)});
+  for (int64_t i = 0; i < batch.size(); ++i)
+    batch[i] = static_cast<float>(rng.normal(0.0, 0.5));
+  const rt::RangeMap ranges = rt::calibrate_ranges(g, batch);
+  rt::ConvertOptions co;
+  co.name = name;
+  co.weight_bits = co.act_bits = bits;
+  return rt::convert(g, co, &ranges);
+}
+
+rt::ModelDef profiled_model(uint64_t seed, int bits = 8) {
   models::DsCnnConfig cfg;
   cfg.input = Shape{12, 8, 1};
   cfg.num_classes = 4;
@@ -512,14 +514,7 @@ rt::ModelDef profiled_model(uint64_t seed) {
   opt.seed = seed;
   opt.qat = false;
   nn::Graph g = models::build_ds_cnn(cfg, opt);
-  Rng rng(seed + 1);
-  TensorF batch(Shape{2, 12, 8, 1});
-  for (int64_t i = 0; i < batch.size(); ++i)
-    batch[i] = static_cast<float>(rng.normal(0.0, 0.5));
-  const rt::RangeMap ranges = rt::calibrate_ranges(g, batch);
-  rt::ConvertOptions co;
-  co.name = "profiled";
-  return rt::convert(g, co, &ranges);
+  return converted(g, cfg.input, seed, "profiled", bits);
 }
 
 TEST_F(ObsTest, ProfileReportMeasuresEveryOp) {
@@ -617,8 +612,6 @@ TEST_F(ObsTest, MemoryPlanLifetimesAreConsistent) {
   EXPECT_LE(max_seen, plan.arena_bytes);
   EXPECT_LE(plan.arena_bytes, alloc_sum);
   EXPECT_EQ(alloc_sum, rt::unplanned_activation_bytes(interp.model()));
-  // The interpreter caches the same timeline for its counter track.
-  EXPECT_EQ(interp.op_live_bytes(), timeline);
 }
 
 TEST_F(ObsTest, EnergyTableMustMatchOpCount) {
@@ -630,6 +623,113 @@ TEST_F(ObsTest, EnergyTableMustMatchOpCount) {
   EXPECT_NO_THROW(interp.set_op_energy_uj(good));
   EXPECT_THROW(interp.set_op_energy_uj(std::vector<double>(good.size() + 1)),
                std::runtime_error);
+}
+
+// --- per-op kernel accounting (both MN_OBS configurations) ------------------
+
+// An int8 MobileNetV2 with a residual add: the one op whose second operand
+// is an activation, not weights.
+rt::ModelDef residual_model(uint64_t seed) {
+  models::MobileNetV2Config cfg;
+  cfg.input = Shape{8, 8, 1};
+  cfg.num_classes = 3;
+  cfg.stem_channels = 8;
+  cfg.blocks = {{8, 8, 1}, {16, 8, 1}};
+  cfg.head_channels = 0;
+  models::BuildOptions opt;
+  opt.seed = seed;
+  opt.qat = false;
+  nn::Graph g = models::build_mobilenet_v2(cfg, opt);
+  return converted(g, cfg.input, seed, "residual", 8);
+}
+
+// The kernel counters' deltas over one invoke.
+struct KernelCounts {
+  int64_t macs = 0, bytes_read = 0, bytes_written = 0, im2col_bytes = 0, ops = 0;
+};
+
+KernelCounts count_one_invoke(rt::Interpreter& interp) {
+  obs::reset_counters();
+  const rt::ModelDef& m = interp.model();
+  interp.invoke(TensorF(m.tensors[static_cast<size_t>(m.input_tensor)].shape, 0.3f));
+  return {obs::counter_value(obs::Counter::kKernelMacs),
+          obs::counter_value(obs::Counter::kKernelBytesRead),
+          obs::counter_value(obs::Counter::kKernelBytesWritten),
+          obs::counter_value(obs::Counter::kIm2colBytes),
+          obs::counter_value(obs::Counter::kBackendFastOps) +
+              obs::counter_value(obs::Counter::kBackendReferenceOps)};
+}
+
+// Column bytes op `i` gathers: one kh*kw*in_ch column per output pixel, for
+// every int8 conv except a 1x1 the fast backend's AVX2 variant reads in
+// place. Int4 convs, depthwise and the rest gather nothing.
+int64_t gathered_bytes(const rt::Interpreter& interp, size_t i) {
+  const rt::ModelDef& m = interp.model();
+  const rt::OpDef& op = m.ops[i];
+  if (op.type != rt::OpType::kConv2D) return 0;
+  const rt::TensorDef& w = m.tensors[static_cast<size_t>(op.inputs[1])];
+  const rt::TensorDef& out = m.tensors[static_cast<size_t>(op.output)];
+  if (w.bits != 8) return 0;
+  const bool pointwise = w.shape.dim(1) == 1 && w.shape.dim(2) == 1 &&
+                         op.stride == 1 && op.pad_h == 0 && op.pad_w == 0;
+  if (pointwise && interp.op_backend(i) == kernels::BackendKind::kFast &&
+      kernels::host_isa() == kernels::Isa::kAvx2)
+    return 0;
+  return out.shape.dim(0) * out.shape.dim(1) * w.shape.dim(1) * w.shape.dim(2) *
+         w.shape.dim(3);
+}
+
+TEST_F(ObsTest, InvokeCountsEachOpOnceFromTheModel) {
+#if defined(MN_OBS_DISABLED)
+  constexpr bool kCounting = false;
+#else
+  constexpr bool kCounting = true;
+#endif
+  const rt::ModelDef models[] = {profiled_model(9, 8), profiled_model(9, 4),
+                                 residual_model(10)};
+  for (const rt::ModelDef& m : models) {
+    const int bits = m.tensors[static_cast<size_t>(m.input_tensor)].bits;
+    SCOPED_TRACE(m.name + " int" + std::to_string(bits));
+    // What the graph says one invoke moves: every op's MACs, the storage
+    // bytes of its input and second operand (weights, or an add's other
+    // input; never the int32 bias), and of its output.
+    KernelCounts want;
+    want.macs = m.total_macs();
+    want.ops = static_cast<int64_t>(m.ops.size());
+    for (const rt::OpDef& op : m.ops) {
+      want.bytes_read += m.tensors[static_cast<size_t>(op.inputs[0])].storage_bytes();
+      if (op.inputs.size() > 1 && op.inputs[1] >= 0)
+        want.bytes_read += m.tensors[static_cast<size_t>(op.inputs[1])].storage_bytes();
+      want.bytes_written += m.tensors[static_cast<size_t>(op.output)].storage_bytes();
+    }
+    // Both backends are held to the same MACs and bytes; only the im2col
+    // counter follows which kernel ran.
+    bool has_gather = false;
+    for (const kernels::BackendConfig config :
+         {kernels::BackendConfig::fast(), kernels::BackendConfig::reference()}) {
+      SCOPED_TRACE(kernels::backend_name(config.kind));
+      rt::Interpreter interp(m, {}, config);
+      int64_t want_im2col = 0;
+      for (size_t i = 0; i < m.ops.size(); ++i)
+        want_im2col += gathered_bytes(interp, i);
+      has_gather |= want_im2col > 0;
+      // Two invokes count the same: nothing accumulates across calls.
+      for (int rep = 0; rep < 2; ++rep) {
+        const KernelCounts got = count_one_invoke(interp);
+        EXPECT_EQ(got.macs, kCounting ? want.macs : 0);
+        EXPECT_EQ(got.bytes_read, kCounting ? want.bytes_read : 0);
+        EXPECT_EQ(got.bytes_written, kCounting ? want.bytes_written : 0);
+        EXPECT_EQ(got.im2col_bytes, kCounting ? want_im2col : 0);
+        EXPECT_EQ(got.ops, kCounting ? want.ops : 0);
+      }
+    }
+    EXPECT_GT(want.macs, 0);
+    // The int8 models gather (their non-1x1 stems, on every backend); the
+    // int4 one runs conv2d_s4, which has no column buffer.
+    EXPECT_EQ(has_gather, bits == 8);
+  }
+  EXPECT_TRUE(std::any_of(models[2].ops.begin(), models[2].ops.end(),
+                          [](const rt::OpDef& op) { return op.type == rt::OpType::kAdd; }));
 }
 
 #if !defined(MN_OBS_DISABLED)
@@ -670,10 +770,11 @@ TEST_F(ObsTest, InterpreterEmitsCounterTracksPerOp) {
   EXPECT_EQ(macs, num_ops);
   EXPECT_EQ(energy, num_ops);
   // The arena track replays the planner's occupancy timeline.
-  ASSERT_EQ(arena_values.size(), interp.op_live_bytes().size());
+  const std::vector<int64_t> timeline =
+      interp.memory_plan().occupancy_timeline(static_cast<int>(num_ops));
+  ASSERT_EQ(arena_values.size(), timeline.size());
   for (size_t i = 0; i < arena_values.size(); ++i)
-    EXPECT_DOUBLE_EQ(arena_values[i],
-                     static_cast<double>(interp.op_live_bytes()[i]));
+    EXPECT_DOUBLE_EQ(arena_values[i], static_cast<double>(timeline[i]));
   // And the final cumulative-MAC sample equals the global counter.
   EXPECT_EQ(last_cum_macs, obs::counter_value(obs::Counter::kKernelMacs));
   EXPECT_EQ(obs::gauge_value(obs::Gauge::kArenaLiveBytesPeak),
